@@ -58,8 +58,8 @@ from .errors import (
     ParseError,
     UnknownIdentifierError,
 )
-from .primitives import PRIMITIVES, builtin, surface_name
-from .values import ArithOp, Complex, Quaternion, Scalar, Value, Vector, format_value
+from .primitives import builtin, surface_name
+from .values import ArithOp, BUILTIN_NAMES, Complex, Quaternion, Scalar, Value, Vector, format_value
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +189,6 @@ _SEED_CONSTANTS: dict[str, Value] = {
     "qk": Quaternion(0.0, 0.0, 0.0, 1.0),
 }
 
-_PRIM_SET = frozenset(PRIMITIVES)
-
 
 class Env:
     """Named bindings for the parser and REPL.
@@ -206,12 +204,12 @@ class Env:
 
     @staticmethod
     def is_reserved(name: str) -> bool:
-        return name.lower() in _PRIM_SET or name in _SEED_CONSTANTS
+        return name.lower() in BUILTIN_NAMES or name in _SEED_CONSTANTS
 
     def lookup(self, name: str) -> FuncExpr | Value:
         if name in self._bindings:
             return self._bindings[name]
-        if name.lower() in _PRIM_SET:
+        if name.lower() in BUILTIN_NAMES:
             return builtin(name)
         if name in _SEED_CONSTANTS:
             return _SEED_CONSTANTS[name]

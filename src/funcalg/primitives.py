@@ -12,29 +12,9 @@ from __future__ import annotations
 
 from .algebra import FuncExpr, Prim
 from .errors import UnknownPrimitiveError
-from .values import BUILTIN_NAMES
+from .values import BUILTIN_ORDER
 
-PRIMITIVES: tuple[str, ...] = (
-    "sin",
-    "cos",
-    "tan",
-    "asin",
-    "acos",
-    "atan",
-    "sinh",
-    "cosh",
-    "tanh",
-    "exp",
-    "log",
-    "sqrt",
-    "abs",
-    "floor",
-    "ceiling",
-    "cumsum",
-    "cumprod",
-)
-
-assert set(PRIMITIVES) == set(BUILTIN_NAMES)
+PRIMITIVES: tuple[str, ...] = BUILTIN_ORDER
 
 _NODES = {name: Prim(name) for name in PRIMITIVES}
 

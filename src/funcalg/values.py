@@ -13,8 +13,10 @@ equal length (no recycling).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, repeat
 
 from .errors import (
     KindMismatchError,
@@ -31,6 +33,9 @@ class ArithOp(Enum):
     DIV = "/"
     POW = "^"
 
+    # members are singletons: identity hashing skips the Python-level Enum.__hash__
+    __hash__ = object.__hash__
+
 
 class Value:
     """Base of the numeric tower; concrete kinds are the subclasses below.
@@ -43,7 +48,7 @@ class Value:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scalar(Value):
     x: float
 
@@ -51,7 +56,7 @@ class Scalar(Value):
         object.__setattr__(self, "x", float(self.x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vector(Value):
     xs: tuple[float, ...]
 
@@ -62,7 +67,7 @@ class Vector(Value):
         object.__setattr__(self, "xs", xs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Complex(Value):
     re: float
     im: float
@@ -72,7 +77,7 @@ class Complex(Value):
         object.__setattr__(self, "im", float(self.im))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quaternion(Value):
     w: float
     x: float
@@ -82,6 +87,22 @@ class Quaternion(Value):
     def __post_init__(self):
         for name in ("w", "x", "y", "z"):
             object.__setattr__(self, name, float(getattr(self, name)))
+
+
+# kernel results are already floats (vectors: non-empty tuples); store them as is
+_set_scalar_x, _set_vector_xs = Scalar.x.__set__, Vector.xs.__set__
+
+
+def _scalar(x: float) -> Scalar:
+    s = object.__new__(Scalar)
+    _set_scalar_x(s, x)
+    return s
+
+
+def _vector(xs: tuple[float, ...]) -> Vector:
+    v = object.__new__(Vector)
+    _set_vector_xs(v, xs)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +140,9 @@ def _ieee_pow(a: float, b: float) -> float:
 
 
 _REAL_OPS = {
-    ArithOp.ADD: lambda a, b: a + b,
-    ArithOp.SUB: lambda a, b: a - b,
-    ArithOp.MUL: lambda a, b: a * b,
+    ArithOp.ADD: operator.add,
+    ArithOp.SUB: operator.sub,
+    ArithOp.MUL: operator.mul,
     ArithOp.DIV: _ieee_div,
     ArithOp.POW: _ieee_pow,
 }
@@ -252,6 +273,8 @@ def _as_quaternion(v: Value) -> Quaternion:
 
 def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
     """Combine two values under `op`, promoting along the numeric tower."""
+    if isinstance(a, Scalar) and isinstance(b, Scalar):
+        return _scalar(_REAL_OPS[op](a.x, b.x))
     if isinstance(a, Vector) or isinstance(b, Vector):
         if isinstance(a, (Complex, Quaternion)) or isinstance(b, (Complex, Quaternion)):
             raise KindMismatchError(
@@ -263,10 +286,10 @@ def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
                 raise LengthMismatchError(
                     f"vector lengths differ: {len(a.xs)} vs {len(b.xs)}"
                 )
-            return Vector(tuple(real(x, y) for x, y in zip(a.xs, b.xs)))
+            return _vector(tuple(map(real, a.xs, b.xs)))
         if isinstance(a, Vector):
-            return Vector(tuple(real(x, b.x) for x in a.xs))
-        return Vector(tuple(real(a.x, y) for y in b.xs))
+            return _vector(tuple(map(real, a.xs, repeat(b.x))))
+        return _vector(tuple(map(real, repeat(a.x), b.xs)))
 
     if isinstance(a, Quaternion) or isinstance(b, Quaternion):
         if op is ArithOp.POW:
@@ -275,18 +298,16 @@ def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
             return _qpow(a, b)
         return _QUAT_OPS[op](_as_quaternion(a), _as_quaternion(b))
 
-    if isinstance(a, Complex) or isinstance(b, Complex):
-        return _COMPLEX_OPS[op](_as_complex(a), _as_complex(b))
-
-    return Scalar(_REAL_OPS[op](a.x, b.x))
+    # at least one operand is complex and the other a scalar or complex
+    return _COMPLEX_OPS[op](_as_complex(a), _as_complex(b))
 
 
 def value_neg(a: Value) -> Value:
     """Componentwise negation; the value kind is preserved."""
     if isinstance(a, Scalar):
-        return Scalar(-a.x)
+        return _scalar(-a.x)
     if isinstance(a, Vector):
-        return Vector(tuple(-x for x in a.xs))
+        return _vector(tuple(map(operator.neg, a.xs)))
     if isinstance(a, Complex):
         return Complex(-a.re, -a.im)
     return Quaternion(-a.w, -a.x, -a.y, -a.z)
@@ -381,7 +402,9 @@ _COMPLEX_KERNELS = {
     ),
 }
 
-BUILTIN_NAMES = frozenset(_SCALAR_KERNELS) | frozenset(_SCAN_KERNELS)
+# kernel-table order, which seeded draws over `primitives.PRIMITIVES` depend on
+BUILTIN_ORDER = tuple(_SCALAR_KERNELS) + _SCAN_KERNELS
+BUILTIN_NAMES = frozenset(BUILTIN_ORDER)
 
 
 def apply_builtin(name: str, a: Value) -> Value:
@@ -395,18 +418,15 @@ def apply_builtin(name: str, a: Value) -> Value:
     if name in _SCAN_KERNELS:
         if not isinstance(a, Vector):
             raise UnsupportedKindError(f"{name} needs a vector")
-        out: list[float] = []
-        acc = 0.0 if name == "cumsum" else 1.0
-        for x in a.xs:
-            acc = acc + x if name == "cumsum" else acc * x
-            out.append(acc)
-        return Vector(tuple(out))
+        # starting from the identity keeps the first element 0.0 + x or 1.0 * x
+        step, start = (operator.add, 0.0) if name == "cumsum" else (operator.mul, 1.0)
+        return _vector(tuple(accumulate(a.xs, step, initial=start))[1:])
 
     kernel = _SCALAR_KERNELS[name]
     if isinstance(a, Scalar):
-        return Scalar(kernel(a.x))
+        return _scalar(kernel(a.x))
     if isinstance(a, Vector):
-        return Vector(tuple(kernel(x) for x in a.xs))
+        return _vector(tuple(map(kernel, a.xs)))
     if isinstance(a, Complex):
         ck = _COMPLEX_KERNELS.get(name)
         if ck is None:

@@ -17,6 +17,11 @@ the tree walker.  A composition node compiles to its argument
 sub-programs followed by BEGIN_FRAME, the callee code, and END_FRAME;
 frames live on their own stack, so composition depth is unbounded.
 Programs are immutable and re-entrant: concurrent runs are safe.
+
+`run` unpacks each instruction as `(op, a, b)` and tests `op` by identity
+against module-level opcode aliases, in descending order of the summed
+per-op opcode counts of the traced `scalar-calls` and `tower-calls`
+benchmarks.  One `try` wraps the loop; a counter names the failing index.
 """
 
 from __future__ import annotations
@@ -54,6 +59,9 @@ class Instr(NamedTuple):
     b: int | None = None  # argument count for CALL_LEAF
 
 
+_LOAD_ARG, _LOAD_CONST, _CALL_PRIM, _CALL_LEAF, _BINARY, _NEGATE, _BEGIN_FRAME, _END_FRAME = Op
+
+
 @dataclass(frozen=True)
 class Program:
     """A compiled expression: instructions, constant pool and leaf table."""
@@ -67,65 +75,66 @@ class Program:
         """Static stack-discipline check: every instruction stays in bounds
         and execution leaves exactly one value with all frames popped."""
         depth = 0
-        frames: list[Arity] = []
+        n = self.arity.n  # arity of the current frame; None is polymorphic
+        outer: list[int | None] = []  # arities of the enclosing frames
         entry_depths: list[int] = []
 
         def fail(ip: int, why: str):
             raise InvalidProgramError(f"instruction {ip}: {why}")
 
-        for ip, ins in enumerate(self.instructions):
-            current = frames[-1] if frames else self.arity
-            if ins.op is Op.LOAD_ARG:
-                if not isinstance(ins.a, int) or ins.a < 0:
+        for ip, (op, a, b) in enumerate(self.instructions):
+            if op is _LOAD_ARG:
+                if not isinstance(a, int) or a < 0:
                     fail(ip, "bad argument index")
-                if current.n is None:
+                if n is None:
                     fail(ip, "argument load in a polymorphic frame")
-                if ins.a >= current.n:
-                    fail(ip, f"argument index {ins.a} outside frame arity {current.n}")
+                if a >= n:
+                    fail(ip, f"argument index {a} outside frame arity {n}")
                 depth += 1
-            elif ins.op is Op.LOAD_CONST:
-                if not isinstance(ins.a, int) or not 0 <= ins.a < len(self.constants):
-                    fail(ip, "constant index out of range")
-                depth += 1
-            elif ins.op is Op.CALL_PRIM:
-                if ins.a not in BUILTIN_NAMES:
-                    fail(ip, f"unknown builtin {ins.a!r}")
-                if depth < 1:
-                    fail(ip, "stack underflow")
-            elif ins.op is Op.CALL_LEAF:
-                if not isinstance(ins.a, int) or not 0 <= ins.a < len(self.leaves):
-                    fail(ip, "leaf index out of range")
-                if ins.b != self.leaves[ins.a].arity.n:
-                    fail(ip, "argument count does not match leaf arity")
-                if depth < ins.b:
-                    fail(ip, "stack underflow")
-                depth -= ins.b - 1
-            elif ins.op is Op.BINARY:
-                if not isinstance(ins.a, ArithOp):
+            elif op is _BINARY:
+                if not isinstance(a, ArithOp):
                     fail(ip, "bad operator payload")
                 if depth < 2:
                     fail(ip, "stack underflow")
                 depth -= 1
-            elif ins.op is Op.NEGATE:
-                if depth < 1:
-                    fail(ip, "stack underflow")
-            elif ins.op is Op.BEGIN_FRAME:
-                if not isinstance(ins.a, int) or ins.a < 1:
+            elif op is _BEGIN_FRAME:
+                if not isinstance(a, int) or a < 1:
                     fail(ip, "bad frame arity")
-                if depth < ins.a:
+                if depth < a:
                     fail(ip, "stack underflow")
-                depth -= ins.a
-                frames.append(Arity(ins.a))
+                depth -= a
+                outer.append(n)
+                n = a
                 entry_depths.append(depth)
-            elif ins.op is Op.END_FRAME:
-                if not frames:
+            elif op is _END_FRAME:
+                if not outer:
                     fail(ip, "no frame to pop")
-                frames.pop()
+                n = outer.pop()
                 if depth != entry_depths.pop() + 1:
                     fail(ip, "frame body did not leave exactly one value")
+            elif op is _CALL_LEAF:
+                if not isinstance(a, int) or not 0 <= a < len(self.leaves):
+                    fail(ip, "leaf index out of range")
+                if b != self.leaves[a].arity.n:
+                    fail(ip, "argument count does not match leaf arity")
+                if depth < b:
+                    fail(ip, "stack underflow")
+                depth -= b - 1
+            elif op is _LOAD_CONST:
+                if not isinstance(a, int) or not 0 <= a < len(self.constants):
+                    fail(ip, "constant index out of range")
+                depth += 1
+            elif op is _CALL_PRIM:
+                if a not in BUILTIN_NAMES:
+                    fail(ip, f"unknown builtin {a!r}")
+                if depth < 1:
+                    fail(ip, "stack underflow")
+            elif op is _NEGATE:
+                if depth < 1:
+                    fail(ip, "stack underflow")
             else:  # pragma: no cover - enum is closed
-                fail(ip, f"unknown opcode {ins.op}")
-        if frames:
+                fail(ip, f"unknown opcode {op}")
+        if outer:
             raise InvalidProgramError("unbalanced frames at end of program")
         if depth != 1:
             raise InvalidProgramError(
@@ -184,33 +193,37 @@ def run(p: Program, args: Sequence[Value]) -> Value:
             f"program expects {p.arity} argument(s), got {len(argtuple)}"
         )
     stack: list[Value] = []
-    frames: list[tuple[Value, ...]] = [argtuple]
-    for ip, ins in enumerate(p.instructions):
-        try:
-            op = ins.op
-            if op is Op.LOAD_ARG:
-                stack.append(frames[-1][ins.a])
-            elif op is Op.LOAD_CONST:
-                stack.append(p.constants[ins.a])
-            elif op is Op.CALL_PRIM:
-                stack[-1] = apply_builtin(ins.a, stack[-1])
-            elif op is Op.CALL_LEAF:
-                vals = stack[-ins.b :]
-                del stack[-ins.b :]
-                stack.append(p.leaves[ins.a].body(*vals))
-            elif op is Op.BINARY:
-                b = stack.pop()
-                stack[-1] = value_binop(ins.a, stack[-1], b)
-            elif op is Op.NEGATE:
+    push, pop = stack.append, stack.pop
+    constants, leaves = p.constants, p.leaves
+    frame = argtuple  # arguments of the current frame
+    saved: list[tuple[Value, ...]] = []  # arguments of the enclosing frames
+    ip = -1
+    try:
+        for op, a, b in p.instructions:
+            ip += 1
+            if op is _LOAD_ARG:
+                push(frame[a])
+            elif op is _BINARY:
+                y = pop()
+                stack[-1] = value_binop(a, stack[-1], y)
+            elif op is _BEGIN_FRAME:
+                saved.append(frame)
+                frame = tuple(stack[-a:])
+                del stack[-a:]
+            elif op is _END_FRAME:
+                frame = saved.pop()
+            elif op is _CALL_LEAF:
+                vals = stack[-b:]
+                del stack[-b:]
+                push(leaves[a].body(*vals))
+            elif op is _LOAD_CONST:
+                push(constants[a])
+            elif op is _CALL_PRIM:
+                stack[-1] = apply_builtin(a, stack[-1])
+            else:  # NEGATE
                 stack[-1] = value_neg(stack[-1])
-            elif op is Op.BEGIN_FRAME:
-                frame = tuple(stack[-ins.a :])
-                del stack[-ins.a :]
-                frames.append(frame)
-            else:  # END_FRAME
-                frames.pop()
-        except FuncalgError as err:
-            raise type(err)(f"instruction {ip}: {err}") from err
+    except FuncalgError as err:
+        raise type(err)(f"instruction {ip}: {err}") from err
     if len(stack) != 1:  # pragma: no cover - validate() rules this out
         raise InvalidProgramError(f"program left {len(stack)} values on the stack")
     return stack[0]

@@ -6,6 +6,7 @@ Hamilton product.
 """
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -139,6 +140,56 @@ def test_vector_never_mixes_with_complex_or_quaternion():
 def test_vector_needs_an_element():
     with pytest.raises(ValueError):
         Vector(())
+
+
+def test_kernel_results_equal_public_construction():
+    # results built without re-coercion must be indistinguishable from
+    # values built through the public constructors
+    s2, s3 = Scalar(2), Scalar(3)
+    v = Vector((1.0, 2.0, 3.0))
+    cases = [
+        (value_binop(POW, s2, s3), Scalar(8)),
+        (value_binop(ADD, s2, s3), Scalar(5)),
+        (value_binop(DIV, s3, Scalar(0)), Scalar(math.inf)),
+        (value_binop(ADD, v, v), Vector((2, 4, 6))),
+        (value_binop(MUL, v, s2), Vector((2, 4, 6))),
+        (value_binop(SUB, s3, v), Vector((2, 1, 0))),
+        (value_binop(POW, v, s2), Vector((1, 4, 9))),
+        (value_neg(s3), Scalar(-3)),
+        (value_neg(v), Vector((-1, -2, -3))),
+        (apply_builtin("floor", Scalar(2.7)), Scalar(2)),
+        (apply_builtin("abs", Scalar(-4)), Scalar(4)),
+        (apply_builtin("floor", Vector((1.5, -0.5))), Vector((1, -1))),
+        (apply_builtin("cumsum", v), Vector((1, 3, 6))),
+        (apply_builtin("cumprod", v), Vector((1, 2, 6))),
+    ]
+    for got, want in cases:
+        assert type(got) is type(want)
+        payload = (got.x,) if isinstance(got, Scalar) else got.xs
+        assert type(payload) is tuple and payload
+        assert all(type(c) is float for c in payload), got
+        assert got == want and hash(got) == hash(want)
+        assert same_value(got, want)
+
+
+def test_values_are_frozen_and_coerce_their_fields():
+    built = [
+        (Scalar(1), "x"),
+        (Vector((1, 2)), "xs"),
+        (Complex(1, 2), "re"),
+        (Quaternion(1, 2, 3, 4), "w"),
+        (value_binop(ADD, Scalar(1), Scalar(2)), "x"),
+        (value_neg(Vector((1.0,))), "xs"),
+    ]
+    for value, name in built:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 0.0)
+    one = Scalar(1).x
+    assert type(one) is float and one == 1.0
+    assert Vector((1, 2)).xs == (1.0, 2.0)
+    assert all(type(c) is float for c in Vector((1, 2)).xs)
+    q = Quaternion(1, 2, 3, 4)
+    assert all(type(c) is float for c in (q.w, q.x, q.y, q.z))
 
 
 # ---------------------------------------------------------------------------

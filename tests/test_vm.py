@@ -11,8 +11,10 @@ from funcalg import (
     ArithOp,
     ArityMismatchError,
     BackendMismatchError,
+    Complex,
     Instr,
     InvalidProgramError,
+    KindMismatchError,
     Op,
     Program,
     Scalar,
@@ -122,6 +124,38 @@ def test_run_reports_instruction_index_on_evaluation_errors():
     p = compile_expr(builtin("cumsum"))
     with pytest.raises(UnsupportedKindError, match=r"instruction \d+"):
         run(p, (Scalar(1.0),))
+
+
+def _cumsum_in_frame():
+    x, = params(1)
+    return builtin("cumsum")(x + 1), (Scalar(1.0),)
+
+
+def _kind_mismatch_after_frame():
+    x, = params(1)
+    return builtin("sin")(x) + const_expr(Complex(1.0, 1.0)), (Vector((1.0, 2.0)),)
+
+
+@pytest.mark.parametrize(
+    "build, ip, error",
+    [
+        # top level: LOAD_ARG 0, CALL_PRIM cumsum
+        (lambda: (builtin("cumsum"), (Scalar(1.0),)), 1, UnsupportedKindError),
+        # the callee's CALL_PRIM, between BEGIN_FRAME (4) and END_FRAME (7)
+        (_cumsum_in_frame, 6, UnsupportedKindError),
+        # the final BINARY, after the frame has been popped
+        (_kind_mismatch_after_frame, 7, KindMismatchError),
+    ],
+    ids=["top-level", "in-frame", "after-frame"],
+)
+def test_evaluation_errors_name_the_exact_instruction(build, ip, error):
+    tree, args = build()
+    p = compile_expr(tree)
+    assert p.instructions[ip].op in (Op.CALL_PRIM, Op.BINARY)
+    with pytest.raises(error, match=rf"^instruction {ip}: "):
+        run(p, args)
+    with pytest.raises(error):
+        evaluate(tree, args)
 
 
 def test_differential_backend_equivalence_sample():
