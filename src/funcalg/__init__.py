@@ -20,9 +20,11 @@ Scalar(x=2.0989521210578537)
 
 from .algebra import (
     Apply,
+    Arg,
     Arity,
     BinOp,
     Const,
+    Def,
     FuncExpr,
     Leaf,
     Neg,
@@ -89,6 +91,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Apply",
+    "Arg",
     "ArithOp",
     "Arity",
     "ArityMismatchError",
@@ -99,6 +102,7 @@ __all__ = [
     "Complex",
     "Const",
     "ConstDef",
+    "Def",
     "Env",
     "FuncExpr",
     "FuncalgError",

@@ -10,7 +10,8 @@ which is itself a function expression.
 
 Trees are lazy: construction never invokes a leaf body.  They are also
 immutable, may share subtrees, and are safe to share across threads as
-long as leaf bodies are pure.
+long as leaf bodies are pure.  Parameters are `Arg` nodes, user
+definitions are `Def` nodes holding their body, host callables are `Leaf`s.
 """
 
 from __future__ import annotations
@@ -146,6 +147,35 @@ class Leaf(FuncExpr):
 
 
 @dataclass(frozen=True)
+class Arg(FuncExpr):
+    """Parameter i of an n-argument function; `name` is only for printing."""
+
+    i: int
+    arity: Arity
+    name: str = field(compare=False)
+
+    def __post_init__(self):
+        if not 0 <= self.i < (self.arity.n or 0):
+            raise ValueError("a parameter index must be below a fixed arity")
+
+
+@dataclass(frozen=True, eq=False)
+class Def(FuncExpr):
+    """A named definition evaluating `body` on its arguments; equal only to itself."""
+
+    name: str
+    arity: Arity
+    body: FuncExpr
+
+    def __post_init__(self):
+        if self.body.arity.is_fixed and self.body.arity != self.arity:
+            raise ArityMismatchError(
+                f"body of '{self.name}' takes {self.body.arity} argument(s), "
+                f"not {self.arity}"
+            )
+
+
+@dataclass(frozen=True)
 class Const(FuncExpr):
     """A constant function: evaluation ignores the arguments."""
 
@@ -247,16 +277,12 @@ def apply_expr(callee: FuncExpr, args: Sequence[FuncExpr]) -> FuncExpr:
 
 
 def params(n: int) -> tuple[FuncExpr, ...]:
-    """Projection leaves for building n-argument function bodies.
+    """Parameter nodes for building n-argument function bodies.
 
     `x, y = params(2)` gives expressions with x(a, b) = a and y(a, b) = b,
     so `x + x*y` is the function (a, b) -> a + a*b.
     """
-
-    def proj(i: int):
-        return lambda *vals: vals[i]
-
-    return tuple(lift_function(f"x{i}", n, proj(i)) for i in range(n))
+    return tuple(Arg(i, Arity(n), f"x{i}") for i in range(n))
 
 
 def arity_of(e: FuncExpr) -> Arity:
@@ -286,8 +312,8 @@ def _eval(e: FuncExpr, args: tuple[Value, ...]) -> Value:
     match e:
         case Const():
             return e.v
-        case Leaf():
-            return e.body(*args)
+        case Arg():
+            return args[e.i]
         case Prim():
             return apply_builtin(e.name, args[0])
         case BinOp():
@@ -297,6 +323,10 @@ def _eval(e: FuncExpr, args: tuple[Value, ...]) -> Value:
         case Apply():
             vals = tuple(_eval(a, args) for a in e.args)
             return _eval(e.callee, vals)
+        case Leaf():
+            return e.body(*args)
+        case Def():
+            return _eval(e.body, args)
         case _:
             raise TypeError(f"not a function expression: {e!r}")
 

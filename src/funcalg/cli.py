@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .algebra import Apply, FuncExpr, evaluate_constant
 from .errors import (
     ArityMismatchError,
-    BackendMismatchError,
     FuncalgError,
     LexError,
     ParseError,
@@ -42,8 +41,8 @@ from .parser import (
     statement_runs,
     tokenize,
 )
-from .values import Scalar, Value, format_value, same_value
-from .vm import bench, compile_expr, run
+from .values import Scalar, Value, format_value
+from .vm import bench, check_agreement, compile_expr, run
 
 BACKENDS = ("tree", "vm", "check")
 
@@ -75,11 +74,14 @@ class Session:
         """Run one input line (possibly several ';'-separated statements).
 
         Returns False when the line asked to quit, True otherwise."""
-        command = parse_command(text)
-        if command is not None:
-            return self._run_command(command)
-        for tokens in statement_runs(tokenize(text, line_no)):
-            self._run_statement(parse_statement(tokens, self.env))
+        try:
+            command = parse_command(text)
+            if command is not None:
+                return self._run_command(command)
+            for tokens in statement_runs(tokenize(text, line_no)):
+                self._run_statement(parse_statement(tokens, self.env))
+        except RecursionError:
+            raise FuncalgError(f"line {line_no}: expression nested too deeply") from None
         return True
 
     # -- statements
@@ -108,14 +110,7 @@ class Session:
             return evaluate_constant(tree)
         if backend == "vm":
             return run(compile_expr(tree), dummy)
-        tree_value = evaluate_constant(tree)
-        vm_value = run(compile_expr(tree), dummy)
-        if not same_value(tree_value, vm_value):
-            raise BackendMismatchError(
-                f"backends disagree: tree={format_value(tree_value, 17)} "
-                f"vm={format_value(vm_value, 17)}"
-            )
-        return tree_value
+        return check_agreement(evaluate_constant(tree), run(compile_expr(tree), dummy))
 
     # -- commands
 

@@ -37,8 +37,11 @@ from typing import Union
 
 from .algebra import (
     Apply,
+    Arg,
+    Arity,
     BinOp,
     Const,
+    Def,
     FuncExpr,
     Leaf,
     Neg,
@@ -46,9 +49,8 @@ from .algebra import (
     apply_expr,
     combine,
     const_expr,
-    evaluate,
+    evaluate,  # unused here; the traced benchmark run patches parser.evaluate
     evaluate_constant,
-    lift_function,
     negate,
 )
 from .errors import (
@@ -229,6 +231,9 @@ class Env:
 # ---------------------------------------------------------------------------
 # Parsing.
 
+MAX_RANGE_LENGTH = 1_000_000  # elements in an `a:b` literal, checked before building
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], env: Env):
         self.tokens = tokens
@@ -337,9 +342,7 @@ class _Parser:
             if names.count(t.lexeme) > 1:
                 raise self._err(t, f"duplicate parameter name '{t.lexeme}'")
         n = len(names)
-        self.locals = {
-            p: lift_function(p, n, _projection(i)) for i, p in enumerate(names)
-        }
+        self.locals = {p: Arg(i, Arity(n), p) for i, p in enumerate(names)}
         body = self.expr()
         if body.arity.is_fixed and body.arity.n != n:
             raise self._err(
@@ -465,9 +468,11 @@ class _Parser:
     def _range_vector(self, lo_tok: Token, hi_tok: Token) -> Vector:
         lo = self._number(lo_tok)
         hi = self._number(hi_tok)
-        if lo != int(lo) or hi != int(hi):
+        if not (lo.is_integer() and hi.is_integer()):
             raise self._err(lo_tok, "range endpoints must be integers")
         a, b = int(lo), int(hi)
+        if abs(b - a) + 1 > MAX_RANGE_LENGTH:
+            raise self._err(lo_tok, f"range longer than {MAX_RANGE_LENGTH} elements")
         step = 1 if b >= a else -1
         return Vector(tuple(float(v) for v in range(a, b + step, step)))
 
@@ -494,10 +499,6 @@ class _Parser:
             raise ArityMismatchError(
                 f"line {tok.line}, column {tok.col}: {e}"
             ) from None
-
-
-def _projection(i: int):
-    return lambda *vals: vals[i]
 
 
 def parse_statement(tokens: list[Token], env: Env) -> Statement:
@@ -554,7 +555,7 @@ def print_expr(e: FuncExpr) -> str:
     (complex and quaternion constants have no literal syntax and render in
     display form only).
     """
-    if isinstance(e, Leaf):
+    if isinstance(e, (Arg, Def, Leaf)):
         return e.name
     if isinstance(e, Prim):
         return surface_name(e.name)
@@ -576,9 +577,5 @@ def print_expr(e: FuncExpr) -> str:
 
 
 def function_from_tree(name: str, nparams: int, body: FuncExpr) -> FuncExpr:
-    """Wrap a parsed definition body as a named leaf of the given arity."""
-
-    def call(*vals: Value) -> Value:
-        return evaluate(body, vals)
-
-    return lift_function(name, nparams, call)
+    """Bind a parsed definition body as a named definition of the given arity."""
+    return Def(name, Arity(nparams), body)

@@ -5,7 +5,8 @@ Instruction set (operand stack before -> after; F is the current frame):
     LOAD_ARG i        []            -> [F.args[i]]
     LOAD_CONST k      []            -> [constants[k]]
     CALL_PRIM name    [a]           -> [builtin(a)]
-    CALL_LEAF t, n    [a1 .. an]    -> [leaf_t(a1 .. an)]
+    CALL_LEAF t       []            -> [leaf_t(*F.args)]
+    CALL_DEF p        []            -> [run(p, F.args)]   p: a definition body
     BINARY op         [a b]         -> [a op b]
     NEGATE            [a]           -> [-a]
     BEGIN_FRAME m     [a1 .. am]    -> []   pushes frame with args (a1 .. am)
@@ -15,10 +16,11 @@ Compilation is a direct post-order flattening with no constant folding or
 CSE, so a program performs the same IEEE operations in the same order as
 the tree walker.  A composition node compiles to its argument
 sub-programs followed by BEGIN_FRAME, the callee code, and END_FRAME;
-frames live on their own stack, so composition depth is unbounded.
+frames live on their own stack, so composition depth is unbounded.  A
+definition's body is compiled once, and each reference runs it on F.
 Programs are immutable and re-entrant: concurrent runs are safe.
 
-`run` unpacks each instruction as `(op, a, b)` and tests `op` by identity
+`run` unpacks each instruction as `(op, a)` and tests `op` by identity
 against module-level opcode aliases, in descending order of the summed
 per-op opcode counts of the traced `scalar-calls` and `tower-calls`
 benchmarks.  One `try` wraps the loop; a counter names the failing index.
@@ -28,11 +30,12 @@ from __future__ import annotations
 
 import json
 import time
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .algebra import Apply, Arity, BinOp, Const, FuncExpr, Leaf, Neg, Prim, evaluate
+from .algebra import Apply, Arg, Arity, BinOp, Const, Def, FuncExpr, Leaf, Neg, Prim, evaluate
 from .errors import (
     ArityMismatchError,
     BackendMismatchError,
@@ -47,6 +50,7 @@ class Op(Enum):
     LOAD_CONST = "load_const"
     CALL_PRIM = "call_prim"
     CALL_LEAF = "call_leaf"
+    CALL_DEF = "call_def"
     BINARY = "binary"
     NEGATE = "negate"
     BEGIN_FRAME = "begin_frame"
@@ -55,11 +59,10 @@ class Op(Enum):
 
 class Instr(NamedTuple):
     op: Op
-    a: object = None  # index, builtin name, or ArithOp
-    b: int | None = None  # argument count for CALL_LEAF
+    a: object = None  # index, builtin name, ArithOp or body Program
 
 
-_LOAD_ARG, _LOAD_CONST, _CALL_PRIM, _CALL_LEAF, _BINARY, _NEGATE, _BEGIN_FRAME, _END_FRAME = Op
+_LOAD_ARG, _LOAD_CONST, _CALL_PRIM, _CALL_LEAF, _CALL_DEF, _BINARY, _NEGATE, _BEGIN_FRAME, _END_FRAME = Op
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ class Program:
         def fail(ip: int, why: str):
             raise InvalidProgramError(f"instruction {ip}: {why}")
 
-        for ip, (op, a, b) in enumerate(self.instructions):
+        for ip, (op, a) in enumerate(self.instructions):
             if op is _LOAD_ARG:
                 if not isinstance(a, int) or a < 0:
                     fail(ip, "bad argument index")
@@ -112,14 +115,6 @@ class Program:
                 n = outer.pop()
                 if depth != entry_depths.pop() + 1:
                     fail(ip, "frame body did not leave exactly one value")
-            elif op is _CALL_LEAF:
-                if not isinstance(a, int) or not 0 <= a < len(self.leaves):
-                    fail(ip, "leaf index out of range")
-                if b != self.leaves[a].arity.n:
-                    fail(ip, "argument count does not match leaf arity")
-                if depth < b:
-                    fail(ip, "stack underflow")
-                depth -= b - 1
             elif op is _LOAD_CONST:
                 if not isinstance(a, int) or not 0 <= a < len(self.constants):
                     fail(ip, "constant index out of range")
@@ -129,6 +124,18 @@ class Program:
                     fail(ip, f"unknown builtin {a!r}")
                 if depth < 1:
                     fail(ip, "stack underflow")
+            elif op is _CALL_DEF:
+                if not isinstance(a, Program):
+                    fail(ip, "bad definition payload")
+                if a.arity.n != n:
+                    fail(ip, "definition arity does not match frame arity")
+                depth += 1
+            elif op is _CALL_LEAF:
+                if not isinstance(a, int) or not 0 <= a < len(self.leaves):
+                    fail(ip, "leaf index out of range")
+                if self.leaves[a].arity.n != n:
+                    fail(ip, "leaf arity does not match frame arity")
+                depth += 1
             elif op is _NEGATE:
                 if depth < 1:
                     fail(ip, "stack underflow")
@@ -142,44 +149,52 @@ class Program:
             )
 
 
-def compile_expr(e: FuncExpr) -> Program:
-    """Flatten a tree post-order into a validated Program."""
+_body_programs: weakref.WeakKeyDictionary[Def, Program] = weakref.WeakKeyDictionary()
+
+
+def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
+    """Flatten a tree post-order into a validated Program of `arity`
+    (by default the tree's own)."""
     code: list[Instr] = []
     constants: list[Value] = []
     leaves: list[Leaf] = []
 
     def emit(node: FuncExpr) -> None:
         match node:
+            case Arg():
+                code.append(Instr(_LOAD_ARG, node.i))
             case Const():
-                code.append(Instr(Op.LOAD_CONST, len(constants)))
+                code.append(Instr(_LOAD_CONST, len(constants)))
                 constants.append(node.v)
-            case Leaf():
-                n = node.arity.n
-                for i in range(n):
-                    code.append(Instr(Op.LOAD_ARG, i))
-                code.append(Instr(Op.CALL_LEAF, len(leaves), n))
-                leaves.append(node)
             case Prim():
-                code.append(Instr(Op.LOAD_ARG, 0))
-                code.append(Instr(Op.CALL_PRIM, node.name))
+                code.append(Instr(_LOAD_ARG, 0))
+                code.append(Instr(_CALL_PRIM, node.name))
             case BinOp():
                 emit(node.e1)
                 emit(node.e2)
-                code.append(Instr(Op.BINARY, node.op))
+                code.append(Instr(_BINARY, node.op))
             case Neg():
                 emit(node.e)
-                code.append(Instr(Op.NEGATE))
+                code.append(Instr(_NEGATE))
             case Apply():
                 for a in node.args:
                     emit(a)
-                code.append(Instr(Op.BEGIN_FRAME, len(node.args)))
+                code.append(Instr(_BEGIN_FRAME, len(node.args)))
                 emit(node.callee)
-                code.append(Instr(Op.END_FRAME))
+                code.append(Instr(_END_FRAME))
+            case Def():
+                body = _body_programs.get(node)
+                if body is None:
+                    body = _body_programs[node] = compile_expr(node.body, node.arity)
+                code.append(Instr(_CALL_DEF, body))
+            case Leaf():
+                code.append(Instr(_CALL_LEAF, len(leaves)))
+                leaves.append(node)
             case _:
                 raise TypeError(f"not a function expression: {node!r}")
 
     emit(e)
-    program = Program(tuple(code), tuple(constants), tuple(leaves), e.arity)
+    program = Program(tuple(code), tuple(constants), tuple(leaves), arity or e.arity)
     program.validate()
     return program
 
@@ -199,7 +214,7 @@ def run(p: Program, args: Sequence[Value]) -> Value:
     saved: list[tuple[Value, ...]] = []  # arguments of the enclosing frames
     ip = -1
     try:
-        for op, a, b in p.instructions:
+        for op, a in p.instructions:
             ip += 1
             if op is _LOAD_ARG:
                 push(frame[a])
@@ -212,14 +227,14 @@ def run(p: Program, args: Sequence[Value]) -> Value:
                 del stack[-a:]
             elif op is _END_FRAME:
                 frame = saved.pop()
-            elif op is _CALL_LEAF:
-                vals = stack[-b:]
-                del stack[-b:]
-                push(leaves[a].body(*vals))
             elif op is _LOAD_CONST:
                 push(constants[a])
             elif op is _CALL_PRIM:
                 stack[-1] = apply_builtin(a, stack[-1])
+            elif op is _CALL_DEF:
+                push(run(a, frame))
+            elif op is _CALL_LEAF:
+                push(leaves[a].body(*frame))
             else:  # NEGATE
                 stack[-1] = value_neg(stack[-1])
     except FuncalgError as err:
@@ -230,7 +245,17 @@ def run(p: Program, args: Sequence[Value]) -> Value:
 
 
 # ---------------------------------------------------------------------------
-# Benchmarking the two backends against each other.
+# Checking and benchmarking the two backends against each other.
+
+def check_agreement(tree_value: Value, vm_value: Value) -> Value:
+    """Return the tree walker's result; raise if the VM's is not the same."""
+    if not same_value(tree_value, vm_value):
+        raise BackendMismatchError(
+            f"backends disagree: tree={format_value(tree_value, 17)} "
+            f"vm={format_value(vm_value, 17)}"
+        )
+    return tree_value
+
 
 @dataclass(frozen=True)
 class BenchReport:
@@ -267,11 +292,7 @@ def bench(
 
     tree_result = evaluate(e, argtuple)
     vm_result = run(program, argtuple)
-    if not same_value(tree_result, vm_result):
-        raise BackendMismatchError(
-            f"backends disagree: tree={format_value(tree_result, 17)} "
-            f"vm={format_value(vm_result, 17)}"
-        )
+    check_agreement(tree_result, vm_result)
 
     t0 = time.perf_counter_ns()
     for _ in range(iterations):

@@ -7,9 +7,12 @@ import pytest
 
 from funcalg import (
     Apply,
+    Arg,
     ArithOp,
+    Arity,
     ArityMismatchError,
     Const,
+    Def,
     Leaf,
     Neg,
     POLYMORPHIC,
@@ -322,6 +325,16 @@ def test_leaf_requires_fixed_arity():
         Leaf("bad", POLYMORPHIC, lambda *v: v[0])
     with pytest.raises(ValueError):
         lift_function("bad", 0, lambda: Scalar(1.0))
+
+
+def test_parameters_and_definitions_check_their_arity():
+    for i, arity in ((2, Arity(2)), (-1, Arity(2)), (0, POLYMORPHIC)):
+        with pytest.raises(ValueError):
+            Arg(i, arity, "bad")
+    x, y = params(2)
+    assert Def("c", Arity(1), Const(Scalar(3.0))).arity == Arity(1)
+    with pytest.raises(ArityMismatchError):
+        Def("f", Arity(1), x * y)
 
 
 def test_trees_are_immutable():

@@ -221,3 +221,31 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+DEEP = "(" * 400 + "1" + ")" * 400  # beyond the recursive parser's reach
+
+
+def test_deep_nesting_is_a_one_line_error(capsys):
+    assert eval_once(_config(), DEEP) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "nested too deeply" in captured.err
+
+
+def test_deep_nesting_stops_a_script(tmp_path, capsys):
+    script = tmp_path / "deep.fa"
+    script.write_text(f"1 + 1\n{DEEP}\n2 + 2\n")
+    assert run_script(_config(), str(script)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "2\n"
+    assert captured.err.count("\n") == 1 and "line 2" in captured.err
+
+
+def test_repl_survives_deep_nesting(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{DEEP}\n1 + 1\n"))
+    assert run_repl(_config()) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "2\n"
+    assert "nested too deeply" in captured.err

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -134,6 +135,20 @@ def test_range_literals():
     )
     with pytest.raises(ParseError, match="integers"):
         parse_expression("1.5:3", Env())
+
+
+def test_range_length_is_capped_before_allocating():
+    assert len(evaluate_constant(parse_expression("1:1000", Env())).xs) == 1000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"^line 1, column 1: range longer"):
+            parse_expression("1:100000000", Env())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # bytes: the 1e8-element vector was never built
+    with pytest.raises(ParseError, match="integers"):
+        parse_expression("1e999:2", Env())  # infinite endpoint
 
 
 def test_vector_literals():

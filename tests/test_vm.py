@@ -1,23 +1,31 @@
 """Stack machine: compilation scheme, static checks, differential equivalence."""
 
+import io
 import json
 import math
 import random
 
 import pytest
 
+import funcalg.algebra
 import funcalg.vm
 from funcalg import (
+    Arg,
     ArithOp,
+    Arity,
     ArityMismatchError,
     BackendMismatchError,
     Complex,
+    Def,
+    FuncExpr,
     Instr,
     InvalidProgramError,
     KindMismatchError,
     Op,
     Program,
     Scalar,
+    Session,
+    SessionConfig,
     UnsupportedKindError,
     Vector,
     bench,
@@ -25,7 +33,9 @@ from funcalg import (
     compile_expr,
     const_expr,
     evaluate,
+    lift_function,
     params,
+    parse_expression,
     run,
     same_value,
 )
@@ -113,6 +123,25 @@ def test_validate_rejects_corrupted_programs():
     corrupt(lambda ins: ins.append(Instr(Op.LOAD_CONST, 0)))  # two results
 
 
+def test_validate_checks_callee_arity_against_the_frame():
+    x, y = params(2)
+    body = compile_expr(x * y)
+    leaf = lift_function("first", 2, lambda a, b: a)
+
+    def program(instr, arity):
+        return Program((instr,), (), (leaf,), Arity(arity))
+
+    program(Instr(Op.CALL_DEF, body), 2).validate()
+    program(Instr(Op.CALL_LEAF, 0), 2).validate()
+    for bad in (
+        program(Instr(Op.CALL_DEF, body), 1),
+        program(Instr(Op.CALL_DEF, "not a program"), 2),
+        program(Instr(Op.CALL_LEAF, 0), 3),
+    ):
+        with pytest.raises(InvalidProgramError, match=r"^instruction 0: "):
+            bad.validate()
+
+
 def test_run_checks_arity():
     x, y = params(2)
     p = compile_expr(x + y)
@@ -141,10 +170,10 @@ def _kind_mismatch_after_frame():
     [
         # top level: LOAD_ARG 0, CALL_PRIM cumsum
         (lambda: (builtin("cumsum"), (Scalar(1.0),)), 1, UnsupportedKindError),
-        # the callee's CALL_PRIM, between BEGIN_FRAME (4) and END_FRAME (7)
-        (_cumsum_in_frame, 6, UnsupportedKindError),
+        # the callee's CALL_PRIM, between BEGIN_FRAME (3) and END_FRAME (6)
+        (_cumsum_in_frame, 5, UnsupportedKindError),
         # the final BINARY, after the frame has been popped
-        (_kind_mismatch_after_frame, 7, KindMismatchError),
+        (_kind_mismatch_after_frame, 6, KindMismatchError),
     ],
     ids=["top-level", "in-frame", "after-frame"],
 )
@@ -205,3 +234,71 @@ def test_bench_detects_backend_mismatch(monkeypatch):
 def test_bench_propagates_errors_before_timing():
     with pytest.raises(UnsupportedKindError):
         bench(builtin("cumsum"), (Scalar(1.0),), iterations=10)
+
+
+def _programs(p):
+    """p and every definition-body program it reaches through CALL_DEF."""
+    yield p
+    for op, a in p.instructions:
+        if op is Op.CALL_DEF:
+            yield from _programs(a)
+
+
+def _arg_refs(e):
+    """Parameter references in a tree, not counting those inside definitions."""
+    if isinstance(e, Arg):
+        return 1
+    if isinstance(e, Def):
+        return 0
+    children = [c for c in vars(e).values() if isinstance(c, FuncExpr)]
+    return sum(map(_arg_refs, children + list(getattr(e, "args", ()))))
+
+
+def test_definitions_run_in_the_vm(monkeypatch):
+    out = io.StringIO()
+    session = Session(SessionConfig(backend="vm"), out=out)
+    for line in ("f(x) = x*x + 1", "g(x, y) = f(x) + y", "h(x, y) = f(y) - x"):
+        session.execute_line(line)
+
+    calls = []
+    walk = funcalg.algebra._eval
+    monkeypatch.setattr(funcalg.algebra, "_eval", lambda *a: calls.append(a) or walk(*a))
+    session.execute_line("g(2, 3)")
+    assert out.getvalue() == "8\n"
+    assert calls == []
+    monkeypatch.undo()
+
+    # f + g would mix arities 1 and 2, so the composed call uses g + h
+    p = compile_expr(parse_expression("(g + h)(1, 2)", session.env))
+    programs = list(_programs(p))
+    assert len(programs) == 5  # the call, then g, f (via g), h, f (via h)
+    assert all(ins.op is not Op.CALL_LEAF for q in programs for ins in q.instructions)
+    assert run(p, (Scalar(0.0),)) == Scalar(8.0)
+    for name in "fgh":
+        d = session.env.lookup(name)
+        body = funcalg.vm._body_programs[d]
+        loads = [ins for ins in body.instructions if ins.op is Op.LOAD_ARG]
+        assert len(loads) == _arg_refs(d.body) == 2
+
+
+def test_errors_inside_definitions_match_across_backends():
+    errors = {}
+    for backend in ("tree", "vm", "check"):
+        session = Session(SessionConfig(backend=backend), out=io.StringIO())
+        session.execute_line("k(x) = Cumsum(x)")
+        with pytest.raises(UnsupportedKindError) as info:
+            session.execute_line("k(2)")
+        errors[backend] = str(info.value)
+    assert errors["check"] == errors["tree"]
+    # the call site in the line's program, then the CALL_PRIM in k's body
+    assert errors["vm"] == "instruction 2: instruction 3: " + errors["tree"]
+
+
+def test_constant_definition_keeps_declared_arity():
+    session = Session(SessionConfig(backend="vm"), out=io.StringIO())
+    session.execute_line("f(x) = 3")
+    f = session.env.lookup("f")
+    assert f.arity == Arity(1)
+    assert run(compile_expr(f), (Scalar(9.0),)) == Scalar(3.0)
+    with pytest.raises(ArityMismatchError):
+        run(compile_expr(f), (Scalar(1.0), Scalar(2.0)))
