@@ -50,6 +50,7 @@ from .errors import (
     KindMismatchError,
     LengthMismatchError,
     LexError,
+    NestingError,
     ParseError,
     UnknownIdentifierError,
     UnknownPrimitiveError,
@@ -117,6 +118,7 @@ __all__ = [
     "Op",
     "POLYMORPHIC",
     "PRIMITIVES",
+    "NestingError",
     "ParseError",
     "Prim",
     "Program",

@@ -25,6 +25,7 @@ from .errors import (
     ArityMismatchError,
     FuncalgError,
     LexError,
+    NestingError,
     ParseError,
 )
 from .parser import (
@@ -164,6 +165,8 @@ class Session:
 
 
 def _status_of(err: FuncalgError) -> int:
+    if isinstance(err, NestingError):
+        return 2  # a resource limit, like a tree too deep to evaluate
     if isinstance(err, (LexError, ParseError, ArityMismatchError)):
         return 1
     return 2

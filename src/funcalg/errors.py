@@ -37,6 +37,10 @@ class ParseError(FuncalgError):
     """Token stream does not match the grammar; message carries line and column."""
 
 
+class NestingError(ParseError):
+    """Input nested deeper than the parser allows; the CLI exits 2, as for too-deep trees."""
+
+
 class UnknownIdentifierError(ParseError):
     """An identifier could not be resolved against the environment."""
 

@@ -57,6 +57,7 @@ from .errors import (
     ArityMismatchError,
     FuncalgError,
     LexError,
+    NestingError,
     ParseError,
     UnknownIdentifierError,
 )
@@ -232,6 +233,7 @@ class Env:
 # Parsing.
 
 MAX_RANGE_LENGTH = 1_000_000  # elements in an `a:b` literal, checked before building
+MAX_NESTING = 100  # nested factors (parentheses, call arguments, unary -, ^ exponents)
 
 
 class _Parser:
@@ -239,6 +241,7 @@ class _Parser:
         self.tokens = tokens
         self.env = env
         self.pos = 0
+        self.depth = 0  # factors entered and not yet left
         self.locals: dict[str, FuncExpr] = {}
 
     # -- cursor helpers
@@ -384,10 +387,18 @@ class _Parser:
         return left
 
     def factor(self) -> FuncExpr:
+        # every recursive path of the grammar enters here; at the end of input
+        # `atom` reports the missing expression without recursing further
+        if self.depth >= MAX_NESTING and (tok := self._peek()) is not None:
+            raise NestingError(f"line {tok.line}, column {tok.col}: expression nested too deeply")
+        self.depth += 1
         if self._check("op", "-"):
             self._advance()
-            return negate(self.factor())
-        return self.power()
+            node = negate(self.factor())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> FuncExpr:
         base = self.postfix()

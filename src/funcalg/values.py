@@ -21,6 +21,7 @@ from itertools import accumulate, repeat
 from .errors import (
     KindMismatchError,
     LengthMismatchError,
+    UnknownPrimitiveError,
     UnsupportedKindError,
     UnsupportedPowError,
 )
@@ -89,8 +90,11 @@ class Quaternion(Value):
             object.__setattr__(self, name, float(getattr(self, name)))
 
 
-# kernel results are already floats (vectors: non-empty tuples); store them as is
+# Kernel results of all four kinds are already floats (vectors: non-empty tuples
+# of floats): store them as is.  Host inputs go through the coercing constructors.
 _set_scalar_x, _set_vector_xs = Scalar.x.__set__, Vector.xs.__set__
+_set_re, _set_im = Complex.re.__set__, Complex.im.__set__
+_set_w, _set_qx, _set_qy, _set_qz = (getattr(Quaternion, n).__set__ for n in "wxyz")
 
 
 def _scalar(x: float) -> Scalar:
@@ -103,6 +107,22 @@ def _vector(xs: tuple[float, ...]) -> Vector:
     v = object.__new__(Vector)
     _set_vector_xs(v, xs)
     return v
+
+
+def _complex(re: float, im: float) -> Complex:
+    c = object.__new__(Complex)
+    _set_re(c, re)
+    _set_im(c, im)
+    return c
+
+
+def _quat(w: float, x: float, y: float, z: float) -> Quaternion:
+    q = object.__new__(Quaternion)
+    _set_w(q, w)
+    _set_qx(q, x)
+    _set_qy(q, y)
+    _set_qz(q, z)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +173,20 @@ _REAL_OPS = {
 # produce Inf/NaN components instead of raising.
 
 def _cadd(a: Complex, b: Complex) -> Complex:
-    return Complex(a.re + b.re, a.im + b.im)
+    return _complex(a.re + b.re, a.im + b.im)
 
 
 def _csub(a: Complex, b: Complex) -> Complex:
-    return Complex(a.re - b.re, a.im - b.im)
+    return _complex(a.re - b.re, a.im - b.im)
 
 
 def _cmul(a: Complex, b: Complex) -> Complex:
-    return Complex(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+    return _complex(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
 
 
 def _cdiv(a: Complex, b: Complex) -> Complex:
     den = b.re * b.re + b.im * b.im
-    return Complex(
+    return _complex(
         _ieee_div(a.re * b.re + a.im * b.im, den),
         _ieee_div(a.im * b.re - a.re * b.im, den),
     )
@@ -178,23 +198,23 @@ def _cexp(a: Complex) -> Complex:
     except OverflowError:
         m = math.inf
     if a.im == 0.0:
-        return Complex(m, 0.0)
-    return Complex(m * math.cos(a.im), m * math.sin(a.im))
+        return _complex(m, 0.0)
+    return _complex(m * math.cos(a.im), m * math.sin(a.im))
 
 
 def _clog(a: Complex) -> Complex:
     mod = math.hypot(a.re, a.im)
-    return Complex(math.log(mod) if mod > 0.0 else -math.inf, math.atan2(a.im, a.re))
+    return _complex(math.log(mod) if mod > 0.0 else -math.inf, math.atan2(a.im, a.re))
 
 
 def _cpow(a: Complex, b: Complex) -> Complex:
     # principal branch: a^b = exp(b * log a)
     if a.re == 0.0 and a.im == 0.0:
         if b.re == 0.0 and b.im == 0.0:
-            return Complex(1.0, 0.0)
+            return _complex(1.0, 0.0)
         if b.im == 0.0 and b.re > 0.0:
-            return Complex(0.0, 0.0)
-        return Complex(math.nan, math.nan)
+            return _complex(0.0, 0.0)
+        return _complex(math.nan, math.nan)
     return _cexp(_cmul(b, _clog(a)))
 
 
@@ -212,7 +232,7 @@ _COMPLEX_OPS = {
 # commutative; division multiplies by the right operand's inverse.
 
 def _qmul(a: Quaternion, b: Quaternion) -> Quaternion:
-    return Quaternion(
+    return _quat(
         a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
         a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
         a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
@@ -222,15 +242,15 @@ def _qmul(a: Quaternion, b: Quaternion) -> Quaternion:
 
 def _qdiv(a: Quaternion, b: Quaternion) -> Quaternion:
     n2 = b.w * b.w + b.x * b.x + b.y * b.y + b.z * b.z
-    inv = Quaternion(
+    inv = _quat(
         _ieee_div(b.w, n2), _ieee_div(-b.x, n2), _ieee_div(-b.y, n2), _ieee_div(-b.z, n2)
     )
     return _qmul(a, inv)
 
 
 _QUAT_OPS = {
-    ArithOp.ADD: lambda a, b: Quaternion(a.w + b.w, a.x + b.x, a.y + b.y, a.z + b.z),
-    ArithOp.SUB: lambda a, b: Quaternion(a.w - b.w, a.x - b.x, a.y - b.y, a.z - b.z),
+    ArithOp.ADD: lambda a, b: _quat(a.w + b.w, a.x + b.x, a.y + b.y, a.z + b.z),
+    ArithOp.SUB: lambda a, b: _quat(a.w - b.w, a.x - b.x, a.y - b.y, a.z - b.z),
     ArithOp.MUL: _qmul,
     ArithOp.DIV: _qdiv,
 }
@@ -244,7 +264,7 @@ def _qpow(a: Quaternion, b: Value) -> Quaternion:
             "quaternion power is defined only for non-negative integer exponents"
         )
     n = int(b.x)
-    acc = Quaternion(1.0, 0.0, 0.0, 0.0)
+    acc = _quat(1.0, 0.0, 0.0, 0.0)
     base = a
     while n:  # square-and-multiply; associativity makes this the repeated product
         if n & 1:
@@ -260,15 +280,15 @@ def _qpow(a: Quaternion, b: Value) -> Quaternion:
 def _as_complex(v: Value) -> Complex:
     if isinstance(v, Complex):
         return v
-    return Complex(v.x, 0.0)  # type: ignore[union-attr]
+    return _complex(v.x, 0.0)  # type: ignore[union-attr]
 
 
 def _as_quaternion(v: Value) -> Quaternion:
     if isinstance(v, Quaternion):
         return v
     if isinstance(v, Complex):
-        return Quaternion(v.re, v.im, 0.0, 0.0)
-    return Quaternion(v.x, 0.0, 0.0, 0.0)  # type: ignore[union-attr]
+        return _quat(v.re, v.im, 0.0, 0.0)
+    return _quat(v.x, 0.0, 0.0, 0.0)  # type: ignore[union-attr]
 
 
 def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
@@ -309,8 +329,8 @@ def value_neg(a: Value) -> Value:
     if isinstance(a, Vector):
         return _vector(tuple(map(operator.neg, a.xs)))
     if isinstance(a, Complex):
-        return Complex(-a.re, -a.im)
-    return Quaternion(-a.w, -a.x, -a.y, -a.z)
+        return _complex(-a.re, -a.im)
+    return _quat(-a.w, -a.x, -a.y, -a.z)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +413,11 @@ _SCAN_KERNELS = ("cumsum", "cumprod")
 _COMPLEX_KERNELS = {
     "exp": _cexp,
     "log": _clog,
-    "sqrt": lambda a: _cpow(a, Complex(0.5, 0.0)),
-    "sin": lambda a: Complex(
+    "sqrt": lambda a: _cpow(a, _complex(0.5, 0.0)),
+    "sin": lambda a: _complex(
         math.sin(a.re) * _k_cosh(a.im), math.cos(a.re) * _k_sinh(a.im)
     ),
-    "cos": lambda a: Complex(
+    "cos": lambda a: _complex(
         math.cos(a.re) * _k_cosh(a.im), -math.sin(a.re) * _k_sinh(a.im)
     ),
 }
@@ -422,7 +442,9 @@ def apply_builtin(name: str, a: Value) -> Value:
         step, start = (operator.add, 0.0) if name == "cumsum" else (operator.mul, 1.0)
         return _vector(tuple(accumulate(a.xs, step, initial=start))[1:])
 
-    kernel = _SCALAR_KERNELS[name]
+    kernel = _SCALAR_KERNELS.get(name)
+    if kernel is None:
+        raise UnknownPrimitiveError(f"unknown primitive '{name}'")
     if isinstance(a, Scalar):
         return _scalar(kernel(a.x))
     if isinstance(a, Vector):
@@ -433,7 +455,7 @@ def apply_builtin(name: str, a: Value) -> Value:
             raise UnsupportedKindError(f"{name} is not defined for complex values")
         return ck(a)
     if name == "abs":
-        return Scalar(math.hypot(a.w, a.x, a.y, a.z))
+        return _scalar(math.hypot(a.w, a.x, a.y, a.z))
     raise UnsupportedKindError(f"{name} is not defined for quaternions")
 
 

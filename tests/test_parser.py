@@ -35,7 +35,7 @@ from funcalg import (
     tokenize,
     value_binop,
 )
-from funcalg.parser import function_from_tree, statement_runs
+from funcalg.parser import MAX_NESTING, function_from_tree, statement_runs
 
 import treegen
 
@@ -149,6 +149,28 @@ def test_range_length_is_capped_before_allocating():
     assert peak < 1_000_000  # bytes: the 1e8-element vector was never built
     with pytest.raises(ParseError, match="integers"):
         parse_expression("1e999:2", Env())  # infinite endpoint
+
+
+def test_nesting_is_capped_with_a_position():
+    deep = [
+        "(" * 400 + "1" + ")" * 400,  # parentheses
+        "-" * 2000 + "1",  # unary minus
+        "^".join(["2"] * 2000),  # right-associative powers
+        "Sin(" * 400 + "1" + ")" * 400,  # call arguments
+    ]
+    for text in deep:
+        with pytest.raises(ParseError, match=r"^line 1, column \d+: expression nested too deeply"):
+            parse_expression(text, Env())
+    with pytest.raises(ParseError, match=r"^line 2, column 101: expression nested too deeply"):
+        parse_statements("1\n" + "(" * 400 + "1" + ")" * 400, Env())
+    with pytest.raises(ParseError, match=r"^line 1, column 101: expression nested too deeply"):
+        parse_expression("(" * 400, Env())
+    with pytest.raises(ParseError, match="expected expression"):
+        parse_expression("(" * MAX_NESTING, Env())  # input ends where the limit is reached
+    # the limit counts open nesting, not nesting seen so far
+    within = "(" * (MAX_NESTING - 1) + "1" + ")" * (MAX_NESTING - 1)
+    assert evaluate_constant(parse_expression(within, Env())) == Scalar(1.0)
+    assert evaluate_constant(parse_expression(" + ".join([within] * 5), Env())) == Scalar(5.0)
 
 
 def test_vector_literals():

@@ -20,6 +20,7 @@ from funcalg import (
     LengthMismatchError,
     Quaternion,
     Scalar,
+    UnknownPrimitiveError,
     UnsupportedKindError,
     UnsupportedPowError,
     Vector,
@@ -170,6 +171,53 @@ def test_kernel_results_equal_public_construction():
         assert all(type(c) is float for c in payload), got
         assert got == want and hash(got) == hash(want)
         assert same_value(got, want)
+
+
+def _components(v):
+    return tuple(getattr(v, f.name) for f in dataclasses.fields(v))
+
+
+def test_tower_results_equal_public_construction():
+    # complex and quaternion results built without re-coercion must be
+    # indistinguishable from values built through the public constructors
+    s, c, c2 = Scalar(2), Complex(1, -2), Complex(0.5, 3)
+    q, q2 = Quaternion(1, 2, -3, 0.5), Quaternion(-2, 0, 1, 4)
+    zero = Complex(0, 0)
+    got = [value_binop(op, a, b) for op in ArithOp for a, b in ((s, c), (c, s), (c, c2))]
+    got += [
+        value_binop(op, a, b)
+        for op in (ADD, SUB, MUL, DIV)
+        for a, b in ((s, q), (c, q), (q, s), (q, c), (q, q2))
+    ]
+    got += [value_binop(POW, q, Scalar(n)) for n in (0, 1, 5)]
+    got += [value_neg(c), value_neg(q)]
+    got += [apply_builtin(name, c) for name in ("exp", "log", "sqrt", "sin", "cos")]
+    got += [apply_builtin("abs", q)]
+    cases = [(v, type(v)(*_components(v))) for v in got]
+    cases += [
+        (value_binop(POW, zero, zero), Complex(1, 0)),
+        (value_binop(POW, zero, Scalar(2)), Complex(0, 0)),
+        (value_binop(POW, zero, Complex(-1, 0)), Complex(math.nan, math.nan)),
+        (value_binop(POW, q, Scalar(0)), Quaternion(1, 0, 0, 0)),
+        (value_binop(POW, q, Scalar(1)), q),
+        (value_binop(ADD, s, c), Complex(3, -2)),
+        (value_binop(MUL, s, q), Quaternion(2, 4, -6, 1)),
+        (value_neg(c), Complex(-1, 2)),
+        (value_neg(q), Quaternion(-1, -2, 3, -0.5)),
+        (apply_builtin("abs", Quaternion(1, 2, 2, 4)), Scalar(5)),
+    ]
+    for got, want in cases:
+        assert type(got) is type(want)
+        assert all(type(x) is float for x in _components(got)), got
+        assert same_value(got, want)
+        if not any(math.isnan(x) for x in _components(got)):
+            assert got == want and hash(got) == hash(want)
+
+
+def test_unknown_builtin_is_a_funcalg_error():
+    for v in (Scalar(1), Vector((1.0, 2.0)), Complex(1, 1), Quaternion(1, 0, 0, 0)):
+        with pytest.raises(UnknownPrimitiveError, match="^unknown primitive 'nope'$"):
+            apply_builtin("nope", v)
 
 
 def test_values_are_frozen_and_coerce_their_fields():

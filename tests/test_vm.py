@@ -1,5 +1,6 @@
 """Stack machine: compilation scheme, static checks, differential equivalence."""
 
+import collections
 import io
 import json
 import math
@@ -202,6 +203,28 @@ def test_differential_backend_equivalence_sample():
                 run(program, args)
             continue
         assert same_value(run(program, args), want)
+
+
+def test_differential_backend_equivalence_over_the_tower():
+    rng = random.Random(4242)
+    kinds = collections.Counter()
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        tree = treegen.gen_tower_tree(rng, n, rng.randint(0, 5))
+        args = treegen.gen_tower_args(rng, n)
+        program = compile_expr(tree)
+        try:
+            want = evaluate(tree, args)
+        except Exception as err:
+            with pytest.raises(type(err)):
+                run(program, args)
+            kinds[type(err).__name__] += 1
+            continue
+        assert same_value(run(program, args), want)
+        kinds[type(want).__name__] += 1
+    # the corpus reaches every kind and mostly evaluates
+    assert min(kinds["Scalar"], kinds["Complex"], kinds["Quaternion"]) >= 40, kinds
+    assert kinds["Scalar"] + kinds["Complex"] + kinds["Quaternion"] >= 300, kinds
 
 
 def test_bench_returns_matching_reports():

@@ -1,16 +1,19 @@
 """Random well-formed expression trees and an independent precedence oracle.
 
-Shared by the differential, property and acceptance tests.  Generated
+Shared by the differential, property and acceptance tests.  `gen_tree`
 trees use only scalar and vector values (one vector length per case), so
 evaluation is total except for the prefix scans hitting a scalar, which
-both backends must reject identically.
+both backends must reject identically.  `gen_tower_tree` trees range over
+scalars, complex numbers and quaternions instead.
 """
 
 import random
 
 from funcalg import (
     ArithOp,
+    Complex,
     PRIMITIVES,
+    Quaternion,
     Scalar,
     Vector,
     apply_expr,
@@ -19,6 +22,7 @@ from funcalg import (
     const_expr,
     lift_function,
     negate,
+    params,
     value_binop,
 )
 
@@ -90,6 +94,66 @@ def gen_tree(rng: random.Random, n: int, depth: int, vec_len: int):
         args = [gen_tree(rng, n, depth - 1, vec_len) for _ in range(m)]
         return apply_expr(callee, args)
     return gen_leaf_expr(rng, n, vec_len)
+
+
+# ---------------------------------------------------------------------------
+# Trees over the numeric tower: parameters and scalar, complex and quaternion
+# constants under + - * /, negation, composition and the builtins defined
+# beyond the reals (abs on a complex value is an error both backends must
+# raise alike).  `^` takes only a non-negative integer scalar exponent, the
+# one power every kind supports.  Kept apart from `gen_value`/`gen_tree` so
+# that their seeded corpora do not shift.
+
+_TOWER_OPS = (ArithOp.ADD, ArithOp.SUB, ArithOp.MUL, ArithOp.DIV)
+_TOWER_EXPONENTS = (0.0, 1.0, 2.0, 3.0, 5.0)
+_TOWER_BUILTINS = ("exp", "log", "sqrt", "sin", "cos", "abs")
+
+
+def _tower_real(rng: random.Random) -> float:
+    return rng.choice(_SCALAR_POOL) if rng.random() < 0.6 else rng.uniform(-3, 3)
+
+
+def gen_tower_value(rng: random.Random):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Scalar(_tower_real(rng))
+    if kind == 1:
+        return Complex(_tower_real(rng), _tower_real(rng))
+    return Quaternion(*(_tower_real(rng) for _ in range(4)))
+
+
+def gen_tower_args(rng: random.Random, n: int):
+    return tuple(gen_tower_value(rng) for _ in range(n))
+
+
+def _tower_leaf(rng: random.Random, n: int):
+    r = rng.random()
+    if r < 0.35:
+        return const_expr(gen_tower_value(rng))
+    if r < 0.85 or n != 1:
+        return rng.choice(params(n))
+    return builtin(rng.choice(_TOWER_BUILTINS))
+
+
+def gen_tower_tree(rng: random.Random, n: int, depth: int):
+    """A tree over the tower whose arity is Fixed(n) or polymorphic."""
+    r = rng.random()
+    if depth <= 0 or r < 0.2:
+        return _tower_leaf(rng, n)
+    if r < 0.55:
+        return combine(
+            rng.choice(_TOWER_OPS),
+            gen_tower_tree(rng, n, depth - 1),
+            gen_tower_tree(rng, n, depth - 1),
+        )
+    if r < 0.65:
+        exponent = const_expr(Scalar(rng.choice(_TOWER_EXPONENTS)))
+        return combine(ArithOp.POW, gen_tower_tree(rng, n, depth - 1), exponent)
+    if r < 0.8:
+        return negate(gen_tower_tree(rng, n, depth - 1))
+    m = rng.randint(1, 3)
+    callee = gen_tower_tree(rng, m, depth - 1)
+    return apply_expr(callee, [gen_tower_tree(rng, n, depth - 1) for _ in range(m)])
 
 
 # ---------------------------------------------------------------------------
