@@ -1,7 +1,8 @@
 """Operator-facing front end: REPL, one-shot evaluation and script runner.
 
-Exit statuses: 0 success, 1 lex/parse error, 2 evaluation error, 3 script
-file not readable.  Results go to stdout (one per line), diagnostics to
+Exit statuses: 0 success, 1 lex/parse error, 2 evaluation error (or any
+other exception from a line, reported in one line), 3 script file not
+readable.  Results go to stdout (one per line), diagnostics to
 stderr.  Bench reports are emitted as one JSON object per backend.
 
 REPL commands:
@@ -172,9 +173,20 @@ def _status_of(err: FuncalgError) -> int:
     return 2
 
 
+def _execute(session: Session, text: str, line_no: int = 1) -> bool:
+    """`session.execute_line`, with any other exception turned into a
+    one-line `FuncalgError` that names its type (exit status 2)."""
+    try:
+        return session.execute_line(text, line_no)
+    except FuncalgError:
+        raise
+    except Exception as err:
+        raise FuncalgError(f"line {line_no}: {type(err).__name__}: {err}") from err
+
+
 def _eval_in(session: Session, text: str) -> int:
     try:
-        session.execute_line(text)
+        _execute(session, text)
     except FuncalgError as err:
         print(err, file=sys.stderr)
         return _status_of(err)
@@ -193,7 +205,7 @@ def _run_script_in(session: Session, path: str) -> int:
         return 3
     for line_no, line in enumerate(text.splitlines(), 1):
         try:
-            if not session.execute_line(line, line_no):
+            if not _execute(session, line, line_no):
                 break
         except FuncalgError as err:
             print(f"{path}: {err}", file=sys.stderr)
@@ -212,7 +224,7 @@ def _repl_in(session: Session) -> int:
         if not line:
             break
         try:
-            if not session.execute_line(line.rstrip("\n")):
+            if not _execute(session, line.rstrip("\n")):
                 break
         except FuncalgError as err:
             print(err, file=sys.stderr)

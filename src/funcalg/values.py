@@ -127,7 +127,11 @@ def _quat(w: float, x: float, y: float, z: float) -> Quaternion:
 
 # ---------------------------------------------------------------------------
 # Real arithmetic.  Python floats are IEEE-754 doubles, but CPython raises
-# where IEEE defines a result; the wrappers below restore the IEEE answer.
+# where IEEE defines a result.  The kernel contract: every real kernel is a C
+# function plus the IEEE answer for the inputs where that function raises.
+# Callers run the C function first and the repair only where it raises, so
+# a vector kernel is one C-level map and only a repaired element pays for a
+# Python frame (`_map_ieee`).
 
 def _ieee_div(a: float, b: float) -> float:
     try:
@@ -159,13 +163,29 @@ def _ieee_pow(a: float, b: float) -> float:
     return float(r)
 
 
+# op -> (C function, total kernel); the total kernel serves as the repair
+# (add, sub and mul never raise on floats)
 _REAL_OPS = {
-    ArithOp.ADD: operator.add,
-    ArithOp.SUB: operator.sub,
-    ArithOp.MUL: operator.mul,
-    ArithOp.DIV: _ieee_div,
-    ArithOp.POW: _ieee_pow,
+    ArithOp.ADD: (operator.add, operator.add),
+    ArithOp.SUB: (operator.sub, operator.sub),
+    ArithOp.MUL: (operator.mul, operator.mul),
+    ArithOp.DIV: (operator.truediv, _ieee_div),
+    ArithOp.POW: (operator.pow, _ieee_pow),
 }
+
+
+def _map_ieee(raw, repair, *cols) -> tuple[float, ...]:
+    """`tuple(map(raw, *cols))`, with `repair` giving each element where `raw`
+    raises.  `cols` are equal-length tuples, or `repeat(x)` to broadcast x."""
+    out: list[float] = []
+    results = map(raw, *cols)
+    while True:
+        try:
+            out.extend(results)  # keeps what came before a raise; map resumes after it
+            return tuple(out)
+        except (ArithmeticError, ValueError):
+            i = len(out)  # the element that raised
+            out.append(repair(*[c[i] if type(c) is tuple else next(c) for c in cols]))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +219,10 @@ def _cexp(a: Complex) -> Complex:
         m = math.inf
     if a.im == 0.0:
         return _complex(m, 0.0)
-    return _complex(m * math.cos(a.im), m * math.sin(a.im))
+    try:
+        return _complex(m * math.cos(a.im), m * math.sin(a.im))
+    except ValueError:  # an infinite angle
+        return _complex(m * _total("cos", a.im), m * _total("sin", a.im))
 
 
 def _clog(a: Complex) -> Complex:
@@ -294,22 +317,20 @@ def _as_quaternion(v: Value) -> Quaternion:
 def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
     """Combine two values under `op`, promoting along the numeric tower."""
     if isinstance(a, Scalar) and isinstance(b, Scalar):
-        return _scalar(_REAL_OPS[op](a.x, b.x))
+        return _scalar(_REAL_OPS[op][1](a.x, b.x))
     if isinstance(a, Vector) or isinstance(b, Vector):
         if isinstance(a, (Complex, Quaternion)) or isinstance(b, (Complex, Quaternion)):
             raise KindMismatchError(
                 "vectors combine only with scalars or equal-length vectors"
             )
-        real = _REAL_OPS[op]
-        if isinstance(a, Vector) and isinstance(b, Vector):
-            if len(a.xs) != len(b.xs):
-                raise LengthMismatchError(
-                    f"vector lengths differ: {len(a.xs)} vs {len(b.xs)}"
-                )
-            return _vector(tuple(map(real, a.xs, b.xs)))
-        if isinstance(a, Vector):
-            return _vector(tuple(map(real, a.xs, repeat(b.x))))
-        return _vector(tuple(map(real, repeat(a.x), b.xs)))
+        x = a.xs if isinstance(a, Vector) else repeat(a.x)
+        y = b.xs if isinstance(b, Vector) else repeat(b.x)
+        if isinstance(a, Vector) and isinstance(b, Vector) and len(x) != len(y):
+            raise LengthMismatchError(f"vector lengths differ: {len(x)} vs {len(y)}")
+        raw, total = _REAL_OPS[op]
+        if op is ArithOp.POW and not (isinstance(b, Scalar) and b.x.is_integer()):
+            raw = total  # other exponents can go complex, which total maps to NaN
+        return _vector(_map_ieee(raw, total, x, y))
 
     if isinstance(a, Quaternion) or isinstance(b, Quaternion):
         if op is ArithOp.POW:
@@ -336,49 +357,23 @@ def value_neg(a: Value) -> Value:
 # ---------------------------------------------------------------------------
 # Builtin kernels.  Real kernels are total: domain errors surface as NaN and
 # range overflow as the appropriately signed infinity, matching IEEE and the
-# behaviour numeric users expect from log(-1) or exp(1000).
+# behaviour numeric users expect from log(-1) or exp(1000).  Each is stored
+# by the kernel contract above: the C function and the answer where it raises.
 
-def _k_log(x: float) -> float:
-    if x > 0.0 or x != x:
-        return math.log(x)
+def _nan(x: float) -> float:
+    return math.nan
+
+
+def _inf(x: float) -> float:
+    return math.inf
+
+
+def _signed_inf(x: float) -> float:
+    return math.copysign(math.inf, x)
+
+
+def _log_raised(x: float) -> float:
     return -math.inf if x == 0.0 else math.nan
-
-
-def _k_sqrt(x: float) -> float:
-    if x < 0.0:
-        return math.nan
-    return math.sqrt(x)
-
-
-def _k_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _k_sinh(x: float) -> float:
-    try:
-        return math.sinh(x)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
-def _k_cosh(x: float) -> float:
-    try:
-        return math.cosh(x)
-    except OverflowError:
-        return math.inf
-
-
-def _guard_nan(fn):
-    def kernel(x: float) -> float:
-        try:
-            return fn(x)
-        except ValueError:
-            return math.nan
-
-    return kernel
 
 
 def _k_floor(x: float) -> float:
@@ -389,23 +384,34 @@ def _k_ceiling(x: float) -> float:
     return float(math.ceil(x)) if math.isfinite(x) else x
 
 
+# name -> (C function, IEEE answer where it raises); None where it never raises
 _SCALAR_KERNELS = {
-    "sin": _guard_nan(math.sin),
-    "cos": _guard_nan(math.cos),
-    "tan": _guard_nan(math.tan),
-    "asin": _guard_nan(math.asin),
-    "acos": _guard_nan(math.acos),
-    "atan": math.atan,
-    "sinh": _k_sinh,
-    "cosh": _k_cosh,
-    "tanh": math.tanh,
-    "exp": _k_exp,
-    "log": _k_log,
-    "sqrt": _k_sqrt,
-    "abs": math.fabs,
-    "floor": _k_floor,
-    "ceiling": _k_ceiling,
+    "sin": (math.sin, _nan),
+    "cos": (math.cos, _nan),
+    "tan": (math.tan, _nan),
+    "asin": (math.asin, _nan),
+    "acos": (math.acos, _nan),
+    "atan": (math.atan, None),
+    "sinh": (math.sinh, _signed_inf),
+    "cosh": (math.cosh, _inf),
+    "tanh": (math.tanh, None),
+    "exp": (math.exp, _inf),
+    "log": (math.log, _log_raised),
+    "sqrt": (math.sqrt, _nan),
+    "abs": (math.fabs, None),
+    "floor": (_k_floor, None),  # no C form: a Python frame per element
+    "ceiling": (_k_ceiling, None),
 }
+
+
+def _total(name: str, x: float) -> float:
+    """The real builtin `name` at x, repaired where its C function raises."""
+    raw, repair = _SCALAR_KERNELS[name]
+    try:
+        return raw(x)
+    except (ArithmeticError, ValueError):
+        return repair(x)
+
 
 _SCAN_KERNELS = ("cumsum", "cumprod")
 
@@ -415,10 +421,12 @@ _COMPLEX_KERNELS = {
     "log": _clog,
     "sqrt": lambda a: _cpow(a, _complex(0.5, 0.0)),
     "sin": lambda a: _complex(
-        math.sin(a.re) * _k_cosh(a.im), math.cos(a.re) * _k_sinh(a.im)
+        _total("sin", a.re) * _total("cosh", a.im),
+        _total("cos", a.re) * _total("sinh", a.im),
     ),
     "cos": lambda a: _complex(
-        math.cos(a.re) * _k_cosh(a.im), -math.sin(a.re) * _k_sinh(a.im)
+        _total("cos", a.re) * _total("cosh", a.im),
+        -_total("sin", a.re) * _total("sinh", a.im),
     ),
 }
 
@@ -445,10 +453,15 @@ def apply_builtin(name: str, a: Value) -> Value:
     kernel = _SCALAR_KERNELS.get(name)
     if kernel is None:
         raise UnknownPrimitiveError(f"unknown primitive '{name}'")
+    raw, repair = kernel
     if isinstance(a, Scalar):
-        return _scalar(kernel(a.x))
+        try:
+            x = raw(a.x)
+        except (ArithmeticError, ValueError):
+            x = repair(a.x)
+        return _scalar(x)
     if isinstance(a, Vector):
-        return _vector(tuple(map(kernel, a.xs)))
+        return _vector(_map_ieee(raw, repair, a.xs))
     if isinstance(a, Complex):
         ck = _COMPLEX_KERNELS.get(name)
         if ck is None:

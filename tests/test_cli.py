@@ -249,3 +249,50 @@ def test_repl_survives_deep_nesting(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "2\n"
     assert "nested too deeply" in captured.err
+
+
+def _fail_once(monkeypatch, exc):
+    """Make the first statement a session runs raise `exc`."""
+    original = Session._run_statement
+    calls = []
+
+    def run_statement(self, stmt):
+        calls.append(stmt)
+        if len(calls) == 1:
+            raise exc
+        return original(self, stmt)
+
+    monkeypatch.setattr(Session, "_run_statement", run_statement)
+
+
+def test_eval_reports_an_unexpected_exception_in_one_line(monkeypatch, capsys):
+    _fail_once(monkeypatch, ValueError("math domain error"))
+    assert eval_once(_config(), "1 + 1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "line 1: ValueError: math domain error\n"
+
+
+def test_script_stops_at_an_unexpected_exception(monkeypatch, tmp_path, capsys):
+    script = tmp_path / "s.fa"
+    script.write_text("1 + 1\n2 + 2\n")
+    _fail_once(monkeypatch, ValueError("boom"))
+    assert run_script(_config(), str(script)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{script}: line 1: ValueError: boom\n"
+
+
+def test_repl_survives_an_unexpected_exception(monkeypatch, capsys):
+    _fail_once(monkeypatch, ValueError("boom"))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 + 1\n2 + 2\n"))
+    assert run_repl(_config()) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "4\n"
+    assert captured.err == "line 1: ValueError: boom\n"
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch):
+    _fail_once(monkeypatch, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        eval_once(_config(), "1 + 1")

@@ -12,8 +12,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from funcalg import (
+    PRIMITIVES,
     ArithOp,
     Complex,
     KindMismatchError,
@@ -439,6 +442,31 @@ def test_complex_kernels_match_cmath():
             assert math.isclose(got.im, want.imag, rel_tol=1e-12, abs_tol=1e-12)
 
 
+def test_complex_kernels_give_nan_where_real_sin_cos_raise():
+    im = Complex(0.0, 1.0)
+    inf = Scalar(math.inf)  # the parser reads 1e999 as Inf
+    cases = [
+        apply_builtin("exp", value_binop(MUL, inf, im)),  # Exp(1e999*im)
+        apply_builtin("sin", value_binop(ADD, inf, value_binop(MUL, Scalar(0.0), im))),
+        apply_builtin("cos", value_binop(ADD, inf, value_binop(MUL, Scalar(0.0), im))),
+        value_binop(POW, Complex(0.0, 1e308), Complex(1e308, 1e308)),  # through _cpow
+    ]
+    for got in cases:
+        assert type(got) is Complex and math.isnan(got.re) and math.isnan(got.im)
+    # finite inputs keep the plain math-library formulas, bit for bit
+    for a, b in [(0.5, 0.25), (-1.5, 2.0), (3.0, -700.0)]:
+        assert apply_builtin("sin", Complex(a, b)) == Complex(
+            math.sin(a) * math.cosh(b), math.cos(a) * math.sinh(b)
+        )
+        assert apply_builtin("cos", Complex(a, b)) == Complex(
+            math.cos(a) * math.cosh(b), -math.sin(a) * math.sinh(b)
+        )
+        m = math.exp(a)
+        assert apply_builtin("exp", Complex(a, b)) == Complex(
+            m * math.cos(b), m * math.sin(b)
+        )
+
+
 def test_quaternion_abs_is_the_norm():
     got = apply_builtin("abs", Quaternion(1.0, 2.0, 2.0, 4.0))
     assert got == Scalar(5.0)
@@ -455,6 +483,102 @@ def test_unsupported_kinds():
         apply_builtin("abs", Complex(3, 4))
     with pytest.raises(UnsupportedKindError):
         apply_builtin("tan", Complex(1, 1))
+
+
+# ---------------------------------------------------------------------------
+# Vector kernels against their scalar elements.  Vector kernels run the C
+# function over the whole vector and repair only the elements where it
+# raises; every element must still equal the scalar kernel's result.
+
+_KERNEL_EDGES = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308,
+    1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.5, -0.5, 1.5, -2.5, 1e-300,
+    710.0, -710.0, 1000.0, -1000.0,
+)
+_reals = st.sampled_from(_KERNEL_EDGES) | st.floats()
+
+
+@st.composite
+def _vectors(draw, n=None):
+    """A vector of 1 to 1000 elements with edge values planted at the first,
+    a middle, the last or any position, several at once."""
+    if n is None:
+        n = draw(st.integers(1, 1000))
+    fill = draw(st.lists(_reals, min_size=1, max_size=8))
+    xs = [fill[i % len(fill)] for i in range(n)]
+    spots = st.sampled_from((0, n // 2, n - 1)) | st.integers(0, n - 1)
+    for i in draw(st.lists(spots, max_size=6)):
+        xs[i] = draw(st.sampled_from(_KERNEL_EDGES))
+    return tuple(xs)
+
+
+@st.composite
+def _vector_cases(draw):
+    xs = draw(_vectors())
+    return xs, draw(_vectors(len(xs))), draw(_reals)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as err:  # the error type is what gets compared
+        return type(err)
+
+
+def _assert_elementwise(vector_call, element_calls):
+    got = _outcome(vector_call)
+    want = [_outcome(call) for call in element_calls]
+    errors = [w for w in want if isinstance(w, type)]
+    if errors:
+        assert got is errors[0]
+        return
+    assert type(got) is Vector and len(got.xs) == len(want)
+    for g, w in zip(got.xs, want):
+        assert g.hex() == w.x.hex() or (g != g and w.x != w.x), (g, w.x)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(case=_vector_cases())
+@example(case=((0.0, 1.0, 2.0, 1.0, 3.0, 1.0), (1.0, 0.0, -2.0, 0.0, 5e-324, -0.0), 1.0))
+@example(case=(
+    (math.inf, 0.5, -1.0, 1000.0, -math.inf, -1000.0, 2.0, 0.0, -0.0, math.nan),
+    (-2.0, 0.5, -0.5, 1e308, 0.0, -1e308, 1.5, -3.0, 2.0, 0.0),
+    -1.0,
+))
+@example(case=((-2.0, 1e308, -1e308, 0.0, -0.0), (0.5, -1.0, 2.0, 3.0, -1.0), 1e308))
+def test_vector_kernels_equal_scalar_kernels_per_element(case):
+    xs, ys, s = case
+    a, b, sc = Vector(xs), Vector(ys), Scalar(s)
+    for op in ArithOp:
+        _assert_elementwise(
+            lambda: value_binop(op, a, b),
+            [
+                lambda x=x, y=y: value_binop(op, Scalar(x), Scalar(y))
+                for x, y in zip(xs, ys)
+            ],
+        )
+        _assert_elementwise(
+            lambda: value_binop(op, a, sc),
+            [lambda x=x: value_binop(op, Scalar(x), sc) for x in xs],
+        )
+        _assert_elementwise(
+            lambda: value_binop(op, sc, a),
+            [lambda x=x: value_binop(op, sc, Scalar(x)) for x in xs],
+        )
+    for name in PRIMITIVES:
+        if name in ("cumsum", "cumprod"):
+            # a prefix scan is the scalar fold from the identity
+            op, acc = (ADD, Scalar(0.0)) if name == "cumsum" else (MUL, Scalar(1.0))
+            folds = []
+            for x in xs:
+                acc = value_binop(op, acc, Scalar(x))
+                folds.append(lambda acc=acc: acc)
+            _assert_elementwise(lambda: apply_builtin(name, a), folds)
+        else:
+            _assert_elementwise(
+                lambda: apply_builtin(name, a),
+                [lambda x=x: apply_builtin(name, Scalar(x)) for x in xs],
+            )
 
 
 # ---------------------------------------------------------------------------
