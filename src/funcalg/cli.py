@@ -217,14 +217,16 @@ def _repl_in(session: Session) -> int:
     interactive = sys.stdin.isatty()
     if interactive:
         print("funcalg 0.1.0 (:quit to exit)")
+    line_no = 0
     while True:
         if interactive:
             print("> ", end="", flush=True)
         line = sys.stdin.readline()
         if not line:
             break
+        line_no += 1
         try:
-            if not _execute(session, line.rstrip("\n")):
+            if not _execute(session, line.rstrip("\n"), line_no):
                 break
         except FuncalgError as err:
             print(err, file=sys.stderr)

@@ -18,12 +18,30 @@ the tree walker.  A composition node compiles to its argument
 sub-programs followed by BEGIN_FRAME, the callee code, and END_FRAME;
 frames live on their own stack, so composition depth is unbounded.  A
 definition's body is compiled once, and each reference runs it on F.
-Programs are immutable and re-entrant: concurrent runs are safe.
+Programs are immutable, apart from their scalar-lane state (below), and
+re-entrant: concurrent runs are safe.
 
 `run` unpacks each instruction as `(op, a)` and tests `op` by identity
 against module-level opcode aliases, in descending order of the summed
 per-op opcode counts of the traced `scalar-calls` and `tower-calls`
 benchmarks.  One `try` wraps the loop; a counter names the failing index.
+
+Scalar lane.  A program whose constants are all exactly `Scalar`, that has
+no CALL_LEAF, and whose CALL_DEF bodies qualify in turn, can also run as
+one generated Python function on raw floats: one local per result, frames
+and argument loads resolved to names at generation time, `+ - *` and
+negation inlined, `/` and `^` through the total kernels `_ieee_div` and
+`_ieee_pow`, each builtin as its C function with the kernel's repair where
+it raises, and a CALL_DEF as a call of the body's own lane.  `run` counts
+the runs of a program whose arguments are all exactly `Scalar` and builds
+the lane on the `_LANE_AFTER`-th (never at compile time); from then on such
+runs take the lane and box its result once.  The lane has no error path:
+if it raises, `run` re-runs the loop, which raises the exact error with its
+instruction index.  That is safe because a lane program has no leaves, so
+nothing impure runs twice.  Contract: the lane performs the loop's IEEE
+operations in the loop's order, so its result is bit-identical (by
+`float.hex`) to the loop's.  Counting and building are not locked: two
+threads may each build a lane, and either one is correct.
 """
 
 from __future__ import annotations
@@ -41,8 +59,10 @@ from .errors import (
     BackendMismatchError,
     FuncalgError,
     InvalidProgramError,
+    UnsupportedKindError,
 )
-from .values import ArithOp, BUILTIN_NAMES, Value, apply_builtin, format_value, same_value, value_binop, value_neg
+from .values import ArithOp, BUILTIN_NAMES, Scalar, Value, apply_builtin, format_value, same_value, value_binop, value_neg
+from .values import _SCALAR_KERNELS, _ieee_div, _ieee_pow, _scalar
 
 
 class Op(Enum):
@@ -73,6 +93,11 @@ class Program:
     constants: tuple[Value, ...]
     leaves: tuple[Leaf, ...]
     arity: Arity
+
+    # scalar-lane state, outside the compared fields: all-scalar runs so far;
+    # the lane is None until built, then its function or False (ineligible)
+    _scalar_runs = 0
+    _lane = None
 
     def validate(self) -> None:
         """Static stack-discipline check: every instruction stays in bounds
@@ -199,6 +224,97 @@ def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
     return program
 
 
+# All-scalar runs of a program before `run` builds its scalar lane.  Building
+# one took 0.4-1 ms for the paper's golden programs and saved 13-31 us per
+# run, so a lane pays for itself after roughly 20-35 runs; a program run
+# fewer times, such as a fresh definition body in a script, never builds one
+# (CHANGES.md has the measurements behind the choice).
+_LANE_AFTER = 32
+
+# lane code per operator: + - * inline, as they never raise on floats
+_LANE_BINARY = {
+    ArithOp.ADD: "{} + {}",
+    ArithOp.SUB: "{} - {}",
+    ArithOp.MUL: "{} * {}",
+    ArithOp.DIV: "ieee_div({}, {})",
+    ArithOp.POW: "ieee_pow({}, {})",
+}
+
+
+def _lane_of(p: Program):
+    """p's scalar lane, built on first request; False if p cannot have one."""
+    lane = p._lane
+    if lane is None:
+        lane = _build_lane(p)
+        object.__setattr__(p, "_lane", lane)
+    return lane
+
+
+def _build_lane(p: Program):
+    """Generate p's scalar lane: one function of the argument floats that
+    does the loop's IEEE operations in the loop's order and returns a float.
+
+    Each result gets its own local; argument loads, constants and frames
+    are only names, resolved here.  The lane has no error path: whatever it
+    raises, `run` re-runs the loop, which raises the exact error."""
+    if p.leaves or any(type(c) is not Scalar for c in p.constants):
+        return False
+    ns: dict[str, object] = {
+        "ieee_div": _ieee_div,
+        "ieee_pow": _ieee_pow,
+        "UnsupportedKindError": UnsupportedKindError,
+    }
+    for k, c in enumerate(p.constants):
+        ns[f"c{k}"] = c.x  # a float, not its repr: inf, nan and -0.0 survive
+    n = p.arity.n
+    frame = [f"a{i}" for i in range(n)] if n else ["*args"]
+    lines = [f"def lane({', '.join(frame)}):"]
+    stack: list[str] = []
+    saved: list[list[str]] = []
+    for ip, (op, a) in enumerate(p.instructions):
+        t = f"t{ip}"
+        if op is _LOAD_ARG:
+            stack.append(frame[a])
+        elif op is _BINARY:
+            y = stack.pop()
+            lines.append(f"    {t} = " + _LANE_BINARY[a].format(stack[-1], y))
+            stack[-1] = t
+        elif op is _BEGIN_FRAME:
+            saved.append(frame)
+            frame = stack[-a:]
+            del stack[-a:]
+        elif op is _END_FRAME:
+            frame = saved.pop()
+        elif op is _LOAD_CONST:
+            stack.append(f"c{a}")
+        elif op is _CALL_PRIM:
+            x = stack[-1]
+            stack[-1] = t
+            if a not in _SCALAR_KERNELS:  # a scan, which needs a vector
+                lines.append("    raise UnsupportedKindError")
+                continue
+            raw, repair = _SCALAR_KERNELS[a]
+            ns[f"k_{a}"], ns[f"r_{a}"] = raw, repair
+            if repair is None:  # the C function never raises
+                lines.append(f"    {t} = k_{a}({x})")
+            else:
+                lines.append(f"    try: {t} = k_{a}({x})")
+                lines.append(f"    except (ArithmeticError, ValueError): {t} = r_{a}({x})")
+        elif op is _CALL_DEF:
+            callee = _lane_of(a)
+            if not callee:
+                return False
+            ns[f"d{ip}"] = callee
+            lines.append(f"    {t} = d{ip}({', '.join(frame)})")
+            stack.append(t)
+        else:  # NEGATE; a program without leaves has no CALL_LEAF
+            lines.append(f"    {t} = -{stack[-1]}")
+            stack[-1] = t
+    lines.append(f"    return {stack[0]}")
+    exec("\n".join(lines), ns)
+    return ns["lane"]
+
+
 def run(p: Program, args: Sequence[Value]) -> Value:
     """Execute a program on an argument list; equals evaluate() on the
     source tree exactly.  Evaluation errors carry the instruction index."""
@@ -207,6 +323,23 @@ def run(p: Program, args: Sequence[Value]) -> Value:
         raise ArityMismatchError(
             f"program expects {p.arity} argument(s), got {len(argtuple)}"
         )
+    xs = []
+    for v in argtuple:
+        if type(v) is not Scalar:  # exact Scalars only; anything else runs the loop
+            break
+        xs.append(v.x)
+    else:
+        lane = p._lane
+        if lane is None:
+            runs = p._scalar_runs + 1
+            object.__setattr__(p, "_scalar_runs", runs)
+            if runs >= _LANE_AFTER:
+                lane = _lane_of(p)
+        if lane:
+            try:
+                return _scalar(lane(*xs))
+            except Exception:
+                pass  # the loop below raises the exact error
     stack: list[Value] = []
     push, pop = stack.append, stack.pop
     constants, leaves = p.constants, p.leaves

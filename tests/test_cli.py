@@ -125,7 +125,15 @@ def test_repl_loop(monkeypatch, capsys):
     assert run_repl(_config()) == 0
     captured = capsys.readouterr()
     assert captured.out == "9\n16\n"  # loop survived the error, quit stopped it
-    assert "line 1" in captured.err
+    assert captured.err == "line 3, column 1: unknown identifier 'broken'\n"
+
+
+def test_repl_numbers_each_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 + 1\n2 +\n"))
+    assert run_repl(_config()) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "2\n"
+    assert captured.err == "line 2, column 4: expected expression\n"
 
 
 def test_repl_commands(monkeypatch, capsys):

@@ -18,27 +18,34 @@ from funcalg import (
     BackendMismatchError,
     Complex,
     Def,
+    FuncalgError,
     FuncExpr,
     Instr,
     InvalidProgramError,
     KindMismatchError,
     Op,
+    PRIMITIVES,
     Program,
+    Quaternion,
     Scalar,
     Session,
     SessionConfig,
     UnsupportedKindError,
     Vector,
+    apply_expr,
     bench,
     builtin,
+    combine,
     compile_expr,
     const_expr,
     evaluate,
     lift_function,
+    negate,
     params,
     parse_expression,
     run,
     same_value,
+    value_binop,
 )
 
 import treegen
@@ -325,3 +332,183 @@ def test_constant_definition_keeps_declared_arity():
     assert run(compile_expr(f), (Scalar(9.0),)) == Scalar(3.0)
     with pytest.raises(ArityMismatchError):
         run(compile_expr(f), (Scalar(1.0), Scalar(2.0)))
+
+
+# ---------------------------------------------------------------------------
+# The scalar lane: once a program has run on exact Scalars `_LANE_AFTER`
+# times, `run` calls its generated float function instead of the loop.
+
+_EDGE = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308,
+    710.0, -710.0, -2.0, -0.5, 0.5, 1.5, 2.0, 3.0, -1.0, 1.0,
+)
+
+# parsed definitions calling each other: domain edges (x = 0, log of a
+# negative, negative bases with non-integer exponents) sit inside them
+_LANE_DEFS = (
+    "f(x) = Sin(x) / x",
+    "g(x, y) = f(x) - y^x",
+    "h(x) = g(x, Log(x)) * f(-x)",
+    "k(x, y, z) = h(x + y) - z / g(z, Asin(x))",
+)
+
+
+def _parsed_defs():
+    session = Session(SessionConfig(backend="vm"), out=io.StringIO())
+    defs = {1: [], 2: [], 3: []}
+    for line in _LANE_DEFS:
+        session.execute_line(line)
+        d = session.env.lookup(line[0])
+        defs[d.arity.n].append(d)
+    return defs
+
+
+def _gen_lane_tree(rng, n, depth, defs):
+    """A lane-eligible tree of arity n or polymorphic: parameters, Scalar
+    constants from the edge grid, every builtin (the scans fail on a
+    scalar), arithmetic, negation, composition and definitions."""
+    r = rng.random()
+    if depth <= 0 or r < 0.2:
+        r = rng.random()
+        if r < 0.3:
+            return const_expr(Scalar(rng.choice(_EDGE)))
+        if r < 0.45:
+            return rng.choice(defs[n])
+        if r < 0.7 and n == 1:
+            return builtin(rng.choice(PRIMITIVES))
+        return rng.choice(params(n))
+    sub = lambda m: _gen_lane_tree(rng, m, depth - 1, defs)
+    if r < 0.5:
+        return combine(rng.choice(list(ArithOp)), sub(n), sub(n))
+    if r < 0.6:
+        return negate(sub(n))
+    if r < 0.7:
+        return Def(f"d{depth}", Arity(n), sub(n))
+    m = rng.randint(1, 3)
+    return apply_expr(sub(m), [sub(n) for _ in range(m)])
+
+
+def _set_lanes(p, lane):
+    """Set the lane of p and of every body it reaches: None (not built) or
+    False (the loop only)."""
+    for q in _programs(p):
+        object.__setattr__(q, "_lane", lane)
+
+
+def test_scalar_lane_matches_the_loop_bit_for_bit():
+    defs = _parsed_defs()
+    rng = random.Random(606)
+    outcomes = collections.Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 3)
+        p = compile_expr(_gen_lane_tree(rng, n, rng.randint(0, 5), defs))
+        cases = [tuple(Scalar(rng.choice(_EDGE)) for _ in range(n)) for _ in range(4)]
+        _set_lanes(p, False)
+        wants = []
+        for args in cases:
+            try:
+                wants.append(run(p, args))
+            except FuncalgError as err:
+                wants.append(err)
+        _set_lanes(p, None)
+        lane = funcalg.vm._lane_of(p)
+        assert callable(lane)
+        for args, want in zip(cases, wants):
+            try:
+                got = lane(*(a.x for a in args))
+            except Exception as err:
+                got = err
+            if isinstance(want, FuncalgError):
+                outcomes["error"] += 1
+                assert isinstance(got, Exception)
+                with pytest.raises(type(want)) as info:
+                    run(p, args)  # the lane raises; the loop re-runs
+                assert str(info.value) == str(want)
+                assert str(want).startswith("instruction ")
+            else:
+                outcomes["finite" if math.isfinite(want.x) else "inf/nan"] += 1
+                assert got.hex() == want.x.hex()
+                assert run(p, args).x.hex() == want.x.hex()
+    # the corpus reaches errors, IEEE edge results and ordinary values
+    assert min(outcomes.values()) >= 500, outcomes
+
+
+class _SubScalar(Scalar):
+    pass
+
+
+_LEAF = lift_function("twice", 1, lambda v: value_binop(ArithOp.MUL, v, Scalar(2.0)))
+
+
+def _run_past_threshold(tree, args):
+    p = compile_expr(tree)
+    want = evaluate(tree, args)
+    for _ in range(2 * funcalg.vm._LANE_AFTER):
+        got = run(p, args)
+        assert type(got) is type(want) and same_value(got, want)
+    return p
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (Complex(1.0, 2.0), Scalar(3.0)),
+        (Quaternion(1.0, 0.0, 1.0, 0.0), Quaternion(0.0, 0.0, 0.0, 1.0)),
+        (Scalar(2.0), Vector((1.0, 2.0))),
+        (_SubScalar(1.5), Scalar(2.0)),
+    ],
+    ids=["complex", "quaternion", "vector", "scalar-subclass"],
+)
+def test_only_exact_scalar_runs_count_towards_a_lane(args):
+    x, y = params(2)
+    p = _run_past_threshold(x + x * y - Def("d", Arity(2), x / y), args)
+    assert p._lane is None and p._scalar_runs == 0
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        params(1)[0] + _LEAF,
+        params(1)[0] * const_expr(Complex(0.0, 1.0)),
+        params(1)[0] - Def("uses_leaf", Arity(1), _LEAF * params(1)[0]),
+    ],
+    ids=["leaf", "complex-constant", "definition-with-leaf"],
+)
+def test_programs_with_leaves_or_non_scalar_constants_stay_laneless(tree):
+    p = _run_past_threshold(tree, (Scalar(0.75),))
+    assert p._lane is False
+
+
+def _scalar_calls_trees():
+    """The `scalar-calls` benchmark programs, built through params/builtin."""
+    x, y, z = params(3)
+    f, g = x + x * y - x / z, x**2 - z
+    u, = params(1)
+    sin, cos, tan, log, exp = (builtin(n) for n in ("sin", "cos", "tan", "log", "exp"))
+    fun = u * u + 2
+    a, b = params(2)
+    j = cos(a) + sin(a - b)
+    k = tan(a) + log(a + b)
+    l = sin(a / 2) + a**2
+    chain = u
+    steps = (sin, u * 0.5 + 1, cos)
+    for i in range(200):
+        chain = apply_expr(steps[i % 3], [chain])
+    return {
+        "2c": ((f + g) * (f + 4 - 2 * f * g), 3),
+        "2d": ((f + g)(x + z, y + z, (f - g)(x, x, y)), 3),
+        "3a": (fun(sin) + sin(fun) - 3 * sin * fun, 1),
+        "3b": ((j + k + l)(sin + log, cos + exp)(sin + tan), 1),
+        "chain200": (chain, 1),
+    }
+
+
+@pytest.mark.parametrize("name", ["2c", "2d", "3a", "3b", "chain200"])
+def test_scalar_calls_programs_get_a_lane(name):
+    tree, n = _scalar_calls_trees()[name]
+    rng = random.Random(name)
+    p = compile_expr(tree)
+    for runs in range(1, funcalg.vm._LANE_AFTER + 8):
+        args = tuple(Scalar(rng.uniform(0.2, 1.2)) for _ in range(n))
+        assert run(p, args).x.hex() == evaluate(tree, args).x.hex()
+        assert callable(p._lane) == (runs >= funcalg.vm._LANE_AFTER)
