@@ -100,8 +100,6 @@ class Session:
                 self._print(f"<function/{expr.arity.n}> {print_expr(expr)}")
             else:
                 self._print(format_value(self._eval_tree(expr), self.config.digits))
-        elif isinstance(stmt, ReplCommand):  # pragma: no cover - built directly
-            self._run_command(stmt)
         else:
             raise TypeError(f"unknown statement {stmt!r}")
 

@@ -26,6 +26,9 @@ unary minus, except that "^" (right-associative) binds tighter than unary
 minus, so -x^2 parses as -(x^2).  Identifiers are resolved against the
 environment when the text is parsed (early binding): redefining g later
 does not change a function already defined in terms of g.
+
+The parser appends an "eof" sentinel token, placed just after the last
+token, so its cursor reads the next token by plain indexing.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .algebra import (
     Apply,
@@ -68,24 +71,23 @@ from .values import ArithOp, BUILTIN_NAMES, Complex, Quaternion, Scalar, Value, 
 # ---------------------------------------------------------------------------
 # Tokens.
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # number ident op lparen rparen lbracket rbracket comma semi colon assign
+class Token(NamedTuple):
+    kind: str  # number ident op lparen rparen lbracket rbracket comma semi colon assign eof
     lexeme: str
     line: int
     col: int
 
 
 _TOKEN_RE = re.compile(
-    r"""(?P<space>[ \t\r]+)
-      | (?P<comment>\#[^\n]*)
+    r"""(?P<skip>[ \t\r]+|\#[^\n]*)
       | (?P<newline>\n)
       | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<op>[-+*/^])
       | (?P<punct>[()\[\],;:=])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _PUNCT_KINDS = {
@@ -103,34 +105,21 @@ _PUNCT_KINDS = {
 def tokenize(text: str, start_line: int = 1) -> list[Token]:
     """Lex text into tokens; positions are 1-based line and column."""
     tokens: list[Token] = []
-    line, col = start_line, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise LexError(
-                f"line {line}, column {col}: illegal character {text[pos]!r}"
-            )
+    line, line_start = start_line, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "newline":
-            line += 1
-            col = 1
-            pos = m.end()
+        if kind == "skip":
             continue
-        if kind == "number":
-            nxt = text[m.end() : m.end() + 1]
-            if nxt in ("e", "E", "."):
-                raise LexError(f"line {line}, column {col}: malformed number")
-            tokens.append(Token("number", lexeme, line, col))
-        elif kind == "ident":
-            tokens.append(Token("ident", lexeme, line, col))
-        elif kind == "op":
-            tokens.append(Token("op", lexeme, line, col))
-        elif kind == "punct":
-            tokens.append(Token(_PUNCT_KINDS[lexeme], lexeme, line, col))
-        col += len(lexeme)
-        pos = m.end()
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+            continue
+        lexeme = m.group()
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise LexError(f"line {line}, column {col}: illegal character {lexeme!r}")
+        if kind == "number" and text[m.end() : m.end() + 1] in ("e", "E", "."):
+            raise LexError(f"line {line}, column {col}: malformed number")
+        tokens.append(Token(_PUNCT_KINDS.get(lexeme, kind), lexeme, line, col))
     return tokens
 
 
@@ -181,7 +170,7 @@ class ReplCommand:
     args: str
 
 
-Statement = Union[FunctionDef, ConstDef, BareExpression, ReplCommand]
+Statement = Union[FunctionDef, ConstDef, BareExpression]
 
 
 _SEED_CONSTANTS: dict[str, Value] = {
@@ -236,9 +225,17 @@ MAX_RANGE_LENGTH = 1_000_000  # elements in an `a:b` literal, checked before bui
 MAX_NESTING = 100  # nested factors (parentheses, call arguments, unary -, ^ exponents)
 
 
+_OPS = {op.value: op for op in ArithOp}
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], env: Env):
-        self.tokens = tokens
+        if tokens:
+            last = tokens[-1]
+            eof = Token("eof", "", last.line, last.col + len(last.lexeme))
+        else:
+            eof = Token("eof", "", 1, 1)
+        self.tokens = [*tokens, eof]
         self.env = env
         self.pos = 0
         self.depth = 0  # factors entered and not yet left
@@ -246,98 +243,58 @@ class _Parser:
 
     # -- cursor helpers
 
-    def _peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _advance(self) -> Token:
-        tok = self._peek()
-        if tok is None:
-            raise self._err_eof("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def _check(self, kind: str, lexeme: str | None = None) -> bool:
-        tok = self._peek()
-        return (
-            tok is not None
-            and tok.kind == kind
-            and (lexeme is None or tok.lexeme == lexeme)
-        )
+    def _check(self, kind: str) -> bool:
+        return self.tokens[self.pos].kind == kind
 
     def _expect(self, kind: str, what: str) -> Token:
-        tok = self._peek()
-        if tok is None:
-            raise self._err_eof(f"expected {what}")
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
-            raise ParseError(
-                f"line {tok.line}, column {tok.col}: expected {what}, "
-                f"found {tok.lexeme!r}"
-            )
+            raise self._expected(tok, what)
         self.pos += 1
         return tok
 
-    def _err(self, tok: Token, msg: str) -> ParseError:
-        return ParseError(f"line {tok.line}, column {tok.col}: {msg}")
+    def _expected(self, tok: Token, what: str) -> ParseError:
+        found = "" if tok.kind == "eof" else f", found {tok.lexeme!r}"
+        return self._err(tok, f"expected {what}{found}")
 
-    def _err_eof(self, msg: str) -> ParseError:
-        if self.tokens:
-            last = self.tokens[-1]
-            return ParseError(
-                f"line {last.line}, column {last.col + len(last.lexeme)}: {msg}"
-            )
-        return ParseError(f"line 1, column 1: {msg}")
+    def _err(self, tok: Token, msg: str, error: type = ParseError) -> FuncalgError:
+        return error(f"line {tok.line}, column {tok.col}: {msg}")
 
     def _done(self) -> None:
-        tok = self._peek()
-        if tok is not None:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
             raise self._err(tok, f"unexpected {tok.lexeme!r} after statement")
 
     # -- statements
 
     def statement(self) -> Statement:
-        if self._is_function_def():
-            stmt = self._function_def()
-        elif self._check("ident") and self.pos + 1 < len(self.tokens) and (
-            self.tokens[self.pos + 1].kind == "assign"
-        ):
+        params = self._def_params()
+        if params is not None:
+            stmt = self._function_def(params)
+        elif self._check("ident") and self.tokens[1].kind == "assign":
             stmt = self._assignment()
         else:
             stmt = BareExpression(self.expr())
         self._done()
         return stmt
 
-    def _is_function_def(self) -> bool:
-        # IDENT "(" IDENT {"," IDENT} ")" "=" ...
+    def _def_params(self) -> list[Token] | None:
+        # IDENT "(" IDENT {"," IDENT} ")" "=" ...: the parameter tokens, or None
         toks = self.tokens
-        i = self.pos
-        if i + 1 >= len(toks) or toks[i].kind != "ident" or toks[i + 1].kind != "lparen":
-            return False
-        i += 2
-        while True:
-            if i >= len(toks) or toks[i].kind != "ident":
-                return False
-            i += 1
-            if i < len(toks) and toks[i].kind == "comma":
-                i += 1
-                continue
-            break
-        return (
-            i + 1 < len(toks)
-            and toks[i].kind == "rparen"
-            and toks[i + 1].kind == "assign"
-        )
+        if toks[0].kind != "ident" or toks[1].kind != "lparen":
+            return None
+        i = 2
+        while toks[i].kind == "ident":
+            if toks[i + 1].kind != "comma":
+                if toks[i + 1].kind == "rparen" and toks[i + 2].kind == "assign":
+                    return toks[2 : i + 1 : 2]
+                return None
+            i += 2
+        return None
 
-    def _function_def(self) -> FunctionDef:
-        name_tok = self._advance()
+    def _function_def(self, param_toks: list[Token]) -> FunctionDef:
+        name_tok = self.tokens[0]
         self._reserved_guard(name_tok)
-        self._expect("lparen", "'('")
-        param_toks = [self._expect("ident", "parameter name")]
-        while self._check("comma"):
-            self._advance()
-            param_toks.append(self._expect("ident", "parameter name"))
-        self._expect("rparen", "')'")
-        self._expect("assign", "'='")
-
         names = [t.lexeme for t in param_toks]
         for t in param_toks:
             if Env.is_reserved(t.lexeme):
@@ -346,6 +303,7 @@ class _Parser:
                 raise self._err(t, f"duplicate parameter name '{t.lexeme}'")
         n = len(names)
         self.locals = {p: Arg(i, Arity(n), p) for i, p in enumerate(names)}
+        self.pos = 2 * n + 3  # past IDENT "(" params ")" "="
         body = self.expr()
         if body.arity.is_fixed and body.arity.n != n:
             raise self._err(
@@ -356,9 +314,9 @@ class _Parser:
         return FunctionDef(name_tok.lexeme, tuple(names), body)
 
     def _assignment(self) -> Statement:
-        name_tok = self._advance()
+        name_tok = self.tokens[0]
         self._reserved_guard(name_tok)
-        self._advance()  # "="
+        self.pos = 2  # past IDENT "="
         tree = self.expr()
         if tree.arity.is_fixed:
             return FunctionDef(name_tok.lexeme, (), tree)
@@ -372,28 +330,27 @@ class _Parser:
 
     def expr(self) -> FuncExpr:
         left = self.term()
-        while self._check("op", "+") or self._check("op", "-"):
-            tok = self._advance()
-            op = ArithOp.ADD if tok.lexeme == "+" else ArithOp.SUB
-            left = self._combine_at(tok, op, left, self.term())
+        while (tok := self.tokens[self.pos]).lexeme in ("+", "-"):
+            self.pos += 1
+            left = self._at(tok, combine, _OPS[tok.lexeme], left, self.term())
         return left
 
     def term(self) -> FuncExpr:
         left = self.factor()
-        while self._check("op", "*") or self._check("op", "/"):
-            tok = self._advance()
-            op = ArithOp.MUL if tok.lexeme == "*" else ArithOp.DIV
-            left = self._combine_at(tok, op, left, self.factor())
+        while (tok := self.tokens[self.pos]).lexeme in ("*", "/"):
+            self.pos += 1
+            left = self._at(tok, combine, _OPS[tok.lexeme], left, self.factor())
         return left
 
     def factor(self) -> FuncExpr:
         # every recursive path of the grammar enters here; at the end of input
         # `atom` reports the missing expression without recursing further
-        if self.depth >= MAX_NESTING and (tok := self._peek()) is not None:
-            raise NestingError(f"line {tok.line}, column {tok.col}: expression nested too deeply")
+        tok = self.tokens[self.pos]
+        if self.depth >= MAX_NESTING and tok.kind != "eof":
+            raise self._err(tok, "expression nested too deeply", NestingError)
         self.depth += 1
-        if self._check("op", "-"):
-            self._advance()
+        if tok.lexeme == "-":
+            self.pos += 1
             node = negate(self.factor())
         else:
             node = self.power()
@@ -402,66 +359,52 @@ class _Parser:
 
     def power(self) -> FuncExpr:
         base = self.postfix()
-        if self._check("op", "^"):
-            tok = self._advance()
-            return self._combine_at(tok, ArithOp.POW, base, self.factor())
+        tok = self.tokens[self.pos]
+        if tok.lexeme == "^":
+            self.pos += 1
+            return self._at(tok, combine, ArithOp.POW, base, self.factor())
         return base
 
     def postfix(self) -> FuncExpr:
         node = self.atom()
-        while self._check("lparen"):
-            open_tok = self._advance()
-            args: list[FuncExpr] = []
-            if not self._check("rparen"):
-                args.append(self.expr())
-                while self._check("comma"):
-                    self._advance()
-                    args.append(self.expr())
+        while (open_tok := self.tokens[self.pos]).kind == "lparen":
+            self.pos += 1
+            args = [] if self._check("rparen") else self._comma_list(self.expr)
             self._expect("rparen", "')'")
-            try:
-                node = apply_expr(node, args)
-            except ArityMismatchError as e:
-                raise ArityMismatchError(
-                    f"line {open_tok.line}, column {open_tok.col}: {e}"
-                ) from None
+            node = self._at(open_tok, apply_expr, node, args)
         return node
 
     def atom(self) -> FuncExpr:
-        tok = self._peek()
-        if tok is None:
-            raise self._err_eof("expected expression")
-
-        if tok.kind == "number":
-            self._advance()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind not in ("number", "ident", "lparen", "lbracket"):
+            raise self._expected(tok, "expression")
+        self.pos += 1
+        if kind == "number":
             if self._check("colon"):
-                self._advance()
+                self.pos += 1
                 hi_tok = self._expect("number", "range endpoint")
                 return const_expr(self._range_vector(tok, hi_tok))
-            return const_expr(Scalar(self._number(tok)))
-
-        if tok.kind == "ident":
-            self._advance()
+            return const_expr(Scalar(float(tok.lexeme)))
+        if kind == "ident":
             return self._resolve(tok)
-
-        if tok.kind == "lparen":
-            self._advance()
+        if kind == "lparen":
             inner = self.expr()
             self._expect("rparen", "')'")
             return inner
+        elems = self._comma_list(self._vector_element)
+        self._expect("rbracket", "']'")
+        return const_expr(Vector(tuple(elems)))
 
-        if tok.kind == "lbracket":
-            self._advance()
-            elems = [self._vector_element()]
-            while self._check("comma"):
-                self._advance()
-                elems.append(self._vector_element())
-            self._expect("rbracket", "']'")
-            return const_expr(Vector(tuple(elems)))
-
-        raise self._err(tok, f"expected expression, found {tok.lexeme!r}")
+    def _comma_list(self, item) -> list:
+        items = [item()]
+        while self._check("comma"):
+            self.pos += 1
+            items.append(item())
+        return items
 
     def _vector_element(self) -> float:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         elem = self.expr()
         if elem.arity.is_fixed:
             raise self._err(tok, "vector elements must be constant expressions")
@@ -470,15 +413,9 @@ class _Parser:
             raise self._err(tok, "vector elements must be scalars")
         return v.x
 
-    def _number(self, tok: Token) -> float:
-        try:
-            return float(tok.lexeme)
-        except ValueError:  # pragma: no cover - the lexer rules this out
-            raise self._err(tok, f"malformed number {tok.lexeme!r}") from None
-
     def _range_vector(self, lo_tok: Token, hi_tok: Token) -> Vector:
-        lo = self._number(lo_tok)
-        hi = self._number(hi_tok)
+        lo = float(lo_tok.lexeme)
+        hi = float(hi_tok.lexeme)
         if not (lo.is_integer() and hi.is_integer()):
             raise self._err(lo_tok, "range endpoints must be integers")
         a, b = int(lo), int(hi)
@@ -494,22 +431,17 @@ class _Parser:
         try:
             binding = self.env.lookup(name)
         except KeyError:
-            raise UnknownIdentifierError(
-                f"line {tok.line}, column {tok.col}: unknown identifier '{name}'"
-            ) from None
+            raise self._err(tok, f"unknown identifier '{name}'", UnknownIdentifierError) from None
         if isinstance(binding, Value):
             return const_expr(binding)
         return binding
 
-    def _combine_at(
-        self, tok: Token, op: ArithOp, left: FuncExpr, right: FuncExpr
-    ) -> FuncExpr:
+    def _at(self, tok: Token, build, *args) -> FuncExpr:
+        """`build(*args)`, with an arity mismatch reported at tok."""
         try:
-            return combine(op, left, right)
+            return build(*args)
         except ArityMismatchError as e:
-            raise ArityMismatchError(
-                f"line {tok.line}, column {tok.col}: {e}"
-            ) from None
+            raise self._err(tok, str(e), ArityMismatchError) from None
 
 
 def parse_statement(tokens: list[Token], env: Env) -> Statement:
@@ -550,12 +482,10 @@ def parse_command(text: str) -> ReplCommand | None:
 def _render_scalar(x: float, parenthesize: bool) -> str:
     if math.isnan(x):
         return "NaN"
-    if math.isinf(x):
-        return "Inf" if x > 0 else ("(-Inf)" if parenthesize else "-Inf")
+    body = "1e999" if math.isinf(x) else repr(abs(x))
     if math.copysign(1.0, x) < 0:
-        body = f"-{-x!r}"
-        return f"({body})" if parenthesize else body
-    return repr(x)
+        return f"(-{body})" if parenthesize else f"-{body}"
+    return body
 
 
 def print_expr(e: FuncExpr) -> str:
@@ -563,8 +493,9 @@ def print_expr(e: FuncExpr) -> str:
 
     Parsing the result against the same environment rebuilds a structurally
     equal tree, provided every constant in the tree is a scalar or vector
-    (complex and quaternion constants have no literal syntax and render in
-    display form only).
+    without NaN.  Infinities render as 1e999; NaN is the one scalar without
+    a literal and renders as NaN, and complex and quaternion constants render
+    in display form only.
     """
     if isinstance(e, (Arg, Def, Leaf)):
         return e.name

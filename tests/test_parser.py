@@ -5,6 +5,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcalg import (
     ArityMismatchError,
@@ -17,10 +19,12 @@ from funcalg import (
     FuncalgError,
     FunctionDef,
     LexError,
+    NestingError,
     ParseError,
     Quaternion,
     ReplCommand,
     Scalar,
+    Session,
     UnknownIdentifierError,
     Vector,
     builtin,
@@ -211,6 +215,113 @@ def test_parse_error_positions_point_into_the_lexeme():
             parse_expression(text, env)
 
 
+# Every lexer and parser error branch, with its exact type and message.
+# "expr" parses with parse_expression, "stmt" parses an empty token run, and
+# "stmts"/"stmts5" parse with parse_statements starting at line 1/5; the
+# environment defines g with arity 2.
+_DIAGNOSTICS = [
+    # lexer
+    ("stmts", "1.2e-3@", LexError, "line 1, column 7: illegal character '@'"),
+    ("stmts", "\u00e9", LexError, "line 1, column 1: illegal character '\u00e9'"),
+    ("stmts", "a\n\t$", LexError, "line 2, column 2: illegal character '$'"),
+    ("stmts", "1..2", LexError, "line 1, column 1: malformed number"),
+    ("stmts", "x + 3e", LexError, "line 1, column 5: malformed number"),
+    ("stmts", "1 # c\n  2.5.1", LexError, "line 2, column 3: malformed number"),
+    # "expected ..." at the end of input
+    ("stmts", "1 +", ParseError, "line 1, column 4: expected expression"),
+    ("stmts", "Sin(", ParseError, "line 1, column 5: expected expression"),
+    ("stmts", "f(x) =", ParseError, "line 1, column 7: expected expression"),
+    ("stmts", "(1 + 2", ParseError, "line 1, column 7: expected ')'"),
+    ("stmts", "[1, 2", ParseError, "line 1, column 6: expected ']'"),
+    ("stmts", "1:", ParseError, "line 1, column 3: expected range endpoint"),
+    # "expected ..." with the token found instead
+    ("stmts", "1 + )", ParseError, "line 1, column 5: expected expression, found ')'"),
+    ("stmts", ", 1", ParseError, "line 1, column 1: expected expression, found ','"),
+    ("stmts", "(1 2)", ParseError, "line 1, column 4: expected ')', found '2'"),
+    ("stmts", "Sin(1 2)", ParseError, "line 1, column 7: expected ')', found '2'"),
+    ("stmts", "[1 2]", ParseError, "line 1, column 4: expected ']', found '2'"),
+    ("stmts", "1:x", ParseError, "line 1, column 3: expected range endpoint, found 'x'"),
+    # trailing tokens
+    ("stmts", "1 + 2 3", ParseError, "line 1, column 7: unexpected '3' after statement"),
+    ("stmts", "f(x) = x )", ParseError, "line 1, column 10: unexpected ')' after statement"),
+    ("stmts", "a = 1 2", ParseError, "line 1, column 7: unexpected '2' after statement"),
+    # definitions
+    ("stmts", "Sin = 1", ParseError, "line 1, column 1: cannot redefine built-in name 'Sin'"),
+    ("stmts", "sin(x) = x", ParseError, "line 1, column 1: cannot redefine built-in name 'sin'"),
+    ("stmts", "pi = 3", ParseError, "line 1, column 1: cannot redefine built-in name 'pi'"),
+    ("stmts", "f(x, pi) = x", ParseError, "line 1, column 6: parameter name 'pi' is reserved"),
+    ("stmts", "f(x, y, x) = x", ParseError, "line 1, column 3: duplicate parameter name 'x'"),
+    ("stmts", "f(x) = g", ParseError,
+     "line 1, column 1: body of 'f' takes 2 argument(s) but 1 parameter(s) were declared"),
+    ("stmts", "f(x, y) = Sin", ParseError,
+     "line 1, column 1: body of 'f' takes 1 argument(s) but 2 parameter(s) were declared"),
+    # literals, names and arities
+    ("stmts", "[Sin, 2]", ParseError, "line 1, column 2: vector elements must be constant expressions"),
+    ("stmts", "[1, im]", ParseError, "line 1, column 5: vector elements must be scalars"),
+    ("stmts", "1.5:3", ParseError, "line 1, column 1: range endpoints must be integers"),
+    ("stmts", "1:100000000", ParseError, "line 1, column 1: range longer than 1000000 elements"),
+    ("stmts", "1 + nope", UnknownIdentifierError, "line 1, column 5: unknown identifier 'nope'"),
+    ("expr", "f(x) = x", UnknownIdentifierError, "line 1, column 1: unknown identifier 'f'"),
+    ("stmts", "Sin + g", ArityMismatchError,
+     "line 1, column 5: cannot combine a 1-argument function with a 2-argument function"),
+    ("stmts", "Sin(1, 2)", ArityMismatchError, "line 1, column 4: callee expects 1 argument(s), got 2"),
+    ("stmts", "g(1)", ArityMismatchError, "line 1, column 2: callee expects 2 argument(s), got 1"),
+    # nesting
+    ("stmts", "1\n" + "(" * 400 + "1", NestingError, "line 2, column 101: expression nested too deeply"),
+    ("stmts", "-" * 200 + "1", NestingError, "line 1, column 101: expression nested too deeply"),
+    # empty input, later start lines, tabs and comments
+    ("expr", "", ParseError, "line 1, column 1: expected expression"),
+    ("expr", "   # only a comment", ParseError, "line 1, column 1: expected expression"),
+    ("stmt", "", ParseError, "line 1, column 1: expected expression"),
+    ("stmts5", "1 +", ParseError, "line 5, column 4: expected expression"),
+    ("stmts5", "a = 1\n\t@", LexError, "line 6, column 2: illegal character '@'"),
+    ("stmts5", "x = 1; 2 * (3", ParseError, "line 5, column 14: expected ')'"),
+    ("stmts", "\t1 +\t)", ParseError, "line 1, column 6: expected expression, found ')'"),
+    ("stmts", "1 # note\n2 +", ParseError, "line 2, column 4: expected expression"),
+    ("stmts", "# note\n\t\tnope", UnknownIdentifierError, "line 2, column 3: unknown identifier 'nope'"),
+]
+
+
+@pytest.mark.parametrize("how, text, error, message", _DIAGNOSTICS)
+def test_diagnostics_are_exact(how, text, error, message):
+    env = Env()
+    env.define("g", lift_function("g", 2, lambda a, b: a))
+    with pytest.raises(FuncalgError) as info:
+        if how == "expr":
+            parse_expression(text, env)
+        elif how == "stmt":
+            parse_statement([], env)
+        else:
+            parse_statements(text, env, start_line=5 if how == "stmts5" else 1)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+_FRAGMENTS = [
+    "f", "g", "h", "c", "v", "x", "y", "Sin", "cumsum", "pi", "im", "qj", "nope",
+    "0", "1", "2.5", ".5", "1e3", "1e999", "7E-2", "3:5", "1..", "e",
+    "+", "-", "*", "/", "^", "(", ")", "[", "]", ",", ";", ":", "=",
+    " ", "\t", "\n", "# c\n", "@",
+]
+_ALPHABET = "fghxySinpqjme0123456789._+-*/^()[],;:= \t\r\n#@$\u00e9\x00{"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(text=st.one_of(
+    st.text(alphabet=_ALPHABET, max_size=30),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=25).map("".join),
+))
+def test_front_end_raises_only_funcalg_errors(text):
+    session = Session()
+    for line in ("f(x) = x^2 + 1", "g(x, y) = f(x) + y", "h = Sin + Cos", "c = 2.5", "v = [1, 2, 3]"):
+        session.execute_line(line)
+    try:
+        for run in statement_runs(tokenize(text)):
+            parse_statement(run, session.env)
+    except FuncalgError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # Statements.
 
@@ -349,6 +460,9 @@ def test_print_parse_round_trip_examples():
         (f + g)(Const(Scalar(2.0))),
         f ** Const(Scalar(-3.0)),
         Const(Vector((1.0, -2.0, 3.5))) + g,
+        Const(Scalar(math.inf)),
+        Const(Scalar(-math.inf)) * f,
+        Const(Vector((math.inf, -1.0, -math.inf))),
     ):
         assert parse_expression(print_expr(tree), env) == tree
 
