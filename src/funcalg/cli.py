@@ -79,7 +79,7 @@ class Session:
         try:
             command = parse_command(text)
             if command is not None:
-                return self._run_command(command)
+                return self._run_command(command, text, line_no)
             for tokens in statement_runs(tokenize(text, line_no)):
                 self._run_statement(parse_statement(tokens, self.env))
         except RecursionError:
@@ -114,8 +114,10 @@ class Session:
 
     # -- commands
 
-    def _run_command(self, cmd: ReplCommand) -> bool:
+    def _run_command(self, cmd: ReplCommand, text: str, line_no: int) -> bool:
         name = cmd.name.lower()
+        # an argument expression is parsed where it stands in the line
+        args = " " * (len(text.rstrip()) - len(cmd.args)) + cmd.args
         if name == "quit":
             return False
         if name == "env":
@@ -126,7 +128,7 @@ class Session:
                     self._print(f"{key} = <function/{binding.arity.n}>")
             return True
         if name == "ast":
-            self._print(print_expr(parse_expression(cmd.args, self.env)))
+            self._print(print_expr(parse_expression(args, self.env, line_no)))
             return True
         if name == "backend":
             choice = cmd.args.strip()
@@ -144,11 +146,11 @@ class Session:
             self.config.digits = digits
             return True
         if name == "bench":
-            return self._run_bench(cmd.args)
+            return self._run_bench(args, line_no)
         raise ParseError(f"unknown command ':{cmd.name}'")
 
-    def _run_bench(self, text: str) -> bool:
-        tree = parse_expression(text, self.env)
+    def _run_bench(self, text: str, line_no: int) -> bool:
+        tree = parse_expression(text, self.env, line_no)
         if not (isinstance(tree, Apply) and not tree.arity.is_fixed):
             raise ParseError(
                 "':bench' needs a call with constant arguments, "

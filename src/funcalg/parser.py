@@ -87,7 +87,7 @@ _TOKEN_RE = re.compile(
       | (?P<punct>[()\[\],;:=])
       | (?P<bad>.)
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE | re.DOTALL | re.ASCII,  # ASCII: \d must not match other scripts' digits
 )
 
 _PUNCT_KINDS = {
@@ -229,12 +229,12 @@ _OPS = {op.value: op for op in ArithOp}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], env: Env):
+    def __init__(self, tokens: list[Token], env: Env, start_line: int = 1):
         if tokens:
             last = tokens[-1]
             eof = Token("eof", "", last.line, last.col + len(last.lexeme))
         else:
-            eof = Token("eof", "", 1, 1)
+            eof = Token("eof", "", start_line, 1)
         self.tokens = [*tokens, eof]
         self.env = env
         self.pos = 0
@@ -458,8 +458,7 @@ def parse_statements(text: str, env: Env, start_line: int = 1) -> list[Statement
 
 def parse_expression(text: str, env: Env, start_line: int = 1) -> FuncExpr:
     """Parse a single expression (no definitions)."""
-    tokens = tokenize(text, start_line)
-    parser = _Parser(tokens, env)
+    parser = _Parser(tokenize(text, start_line), env, start_line)
     tree = parser.expr()
     parser._done()
     return tree

@@ -190,7 +190,8 @@ def _map_ieee(raw, repair, *cols) -> tuple[float, ...]:
 
 # ---------------------------------------------------------------------------
 # Complex arithmetic, built on the real helpers so that zero denominators
-# produce Inf/NaN components instead of raising.
+# produce Inf/NaN components instead of raising.  `vm._LANE_OPS` transcribes
+# _cmul and _cdiv term for term: change the two together.
 
 def _cadd(a: Complex, b: Complex) -> Complex:
     return _complex(a.re + b.re, a.im + b.im)
@@ -253,6 +254,7 @@ _COMPLEX_OPS = {
 # ---------------------------------------------------------------------------
 # Quaternion arithmetic.  Multiplication is the Hamilton product and is not
 # commutative; division multiplies by the right operand's inverse.
+# `vm._LANE_OPS` transcribes _qmul and _qdiv term for term: change the two together.
 
 def _qmul(a: Quaternion, b: Quaternion) -> Quaternion:
     return _quat(
@@ -329,7 +331,7 @@ def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
             raise LengthMismatchError(f"vector lengths differ: {len(x)} vs {len(y)}")
         raw, total = _REAL_OPS[op]
         if op is ArithOp.POW and not (isinstance(b, Scalar) and b.x.is_integer()):
-            raw = total  # other exponents can go complex, which total maps to NaN
+            raw = math.pow  # raises where ** would go complex, so total repairs it
         return _vector(_map_ieee(raw, total, x, y))
 
     if isinstance(a, Quaternion) or isinstance(b, Quaternion):

@@ -26,22 +26,25 @@ against module-level opcode aliases, in descending order of the summed
 per-op opcode counts of the traced `scalar-calls` and `tower-calls`
 benchmarks.  One `try` wraps the loop; a counter names the failing index.
 
-Scalar lane.  A program whose constants are all exactly `Scalar`, that has
-no CALL_LEAF, and whose CALL_DEF bodies qualify in turn, can also run as
-one generated Python function on raw floats: one local per result, frames
-and argument loads resolved to names at generation time, `+ - *` and
-negation inlined, `/` and `^` through the total kernels `_ieee_div` and
-`_ieee_pow`, each builtin as its C function with the kernel's repair where
-it raises, and a CALL_DEF as a call of the body's own lane.  `run` counts
-the runs of a program whose arguments are all exactly `Scalar` and builds
-the lane on the `_LANE_AFTER`-th (never at compile time); from then on such
-runs take the lane and box its result once.  The lane has no error path:
-if it raises, `run` re-runs the loop, which raises the exact error with its
-instruction index.  That is safe because a lane program has no leaves, so
-nothing impure runs twice.  Contract: the lane performs the loop's IEEE
-operations in the loop's order, so its result is bit-identical (by
-`float.hex`) to the loop's.  Counting and building are not locked: two
-threads may each build a lane, and either one is correct.
+Lanes.  A program without CALL_LEAF whose constants are all exactly
+`Scalar`, `Complex` or `Quaternion` can also run as one generated Python
+function per argument-kind signature (its arguments' exact types, each one
+of those three).  Every value's kind is then known, and a value is 1, 2 or
+4 float locals; frames, argument loads and promotion (padding with 0.0)
+are only names.  `+ - * /`, negation and scalar `^` are inline, transcribed
+from the kernels in `values`; a scalar builtin is its C function and repair.
+The rest (complex and quaternion `^` and builtins, scans, CALL_DEF) boxes
+its operands, calls the kernel or the body's lane, and unpacks the result
+by its known kind.  `run` tries the all-`Scalar` lane first, with no
+signature lookup; it counts the runs that find no lane and, from the
+`_LANE_AFTER`-th (never at compile time), builds the run's lane.  Vectors,
+`Scalar` subclasses and leaves stay laneless.  A lane has no error path:
+if it raises (a kind error, say), `run` re-runs the loop, which raises the
+exact error; with no leaves, nothing impure runs twice.  Contract: a lane
+does the loop's IEEE operations in the loop's order, so its result is
+bit-identical (`float.hex` per component) to the loop's.  Counting and
+building are not locked: two threads may each build a lane, and either one
+is correct.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import time
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from .algebra import Apply, Arg, Arity, BinOp, Const, Def, FuncExpr, Leaf, Neg, Prim, evaluate
@@ -59,10 +63,9 @@ from .errors import (
     BackendMismatchError,
     FuncalgError,
     InvalidProgramError,
-    UnsupportedKindError,
 )
-from .values import ArithOp, BUILTIN_NAMES, Scalar, Value, apply_builtin, format_value, same_value, value_binop, value_neg
-from .values import _SCALAR_KERNELS, _ieee_div, _ieee_pow, _scalar
+from .values import ArithOp, BUILTIN_NAMES, Complex, Quaternion, Scalar, Value, apply_builtin, format_value, same_value, value_binop, value_neg
+from .values import _SCALAR_KERNELS, _complex, _ieee_div, _ieee_pow, _quat, _scalar
 
 
 class Op(Enum):
@@ -94,9 +97,10 @@ class Program:
     leaves: tuple[Leaf, ...]
     arity: Arity
 
-    # scalar-lane state, outside the compared fields: all-scalar runs so far;
-    # the lane is None until built, then its function or False (ineligible)
-    _scalar_runs = 0
+    # lane state, outside the compared fields: built lanes (functions, or False)
+    # by signature, replaced on each build; runs that found none; the all-Scalar lane
+    _lanes = MappingProxyType({})
+    _runs = 0
     _lane = None
 
     def validate(self) -> None:
@@ -224,61 +228,123 @@ def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
     return program
 
 
-# All-scalar runs of a program before `run` builds its scalar lane.  Building
-# one took 0.4-1 ms for the paper's golden programs and saved 13-31 us per
-# run, so a lane pays for itself after roughly 20-35 runs; a program run
-# fewer times, such as a fresh definition body in a script, never builds one
-# (CHANGES.md has the measurements behind the choice).
+# Runs of a program that find no lane before `run` builds one.  A lane took
+# 0.3-2 ms to build for the paper's golden programs and saved 13-31 us per
+# scalar run and about 19 us per `tower-calls` op, so it pays for itself after
+# roughly 20-100 runs; a program run fewer times, such as a fresh definition
+# body in a script, never builds one (CHANGES.md has the measurements).
 _LANE_AFTER = 32
 
-# lane code per operator: + - * inline, as they never raise on floats
-_LANE_BINARY = {
-    ArithOp.ADD: "{} + {}",
-    ArithOp.SUB: "{} - {}",
-    ArithOp.MUL: "{} * {}",
-    ArithOp.DIV: "ieee_div({}, {})",
-    ArithOp.POW: "ieee_pow({}, {})",
+# The value types a lane holds unboxed, and their fields: a value of width w
+# (its number of fields) is held as w float locals.
+_LANE_FIELDS = {Scalar: ("x",), Complex: ("re", "im"), Quaternion: ("w", "x", "y", "z")}
+_LANE_KINDS = {len(f): t for t, f in _LANE_FIELDS.items()}  # width -> type
+
+# lane code per (operator, width) on the operands' components a and b, each
+# promoted to that width by padding with 0.0 as `_as_complex`/`_as_quaternion`
+# do; n is the divisor's squared norm, and for a quaternion / b is the
+# divisor's inverse.  Transcribed from _cmul, _cdiv, _qmul and _qdiv in their
+# operand order and association.  Complex and quaternion ^ call value_binop.
+_HAMILTON = (
+    "{a[0]} * {b[0]} - {a[1]} * {b[1]} - {a[2]} * {b[2]} - {a[3]} * {b[3]}",
+    "{a[0]} * {b[1]} + {a[1]} * {b[0]} + {a[2]} * {b[3]} - {a[3]} * {b[2]}",
+    "{a[0]} * {b[2]} - {a[1]} * {b[3]} + {a[2]} * {b[0]} + {a[3]} * {b[1]}",
+    "{a[0]} * {b[3]} + {a[1]} * {b[2]} - {a[2]} * {b[1]} + {a[3]} * {b[0]}",
+)
+_LANE_OPS = {
+    **{(op, w): tuple(f"{{a[{j}]}} {op.value} {{b[{j}]}}" for j in range(w))
+       for op in (ArithOp.ADD, ArithOp.SUB) for w in (1, 2, 4)},
+    (ArithOp.MUL, 1): ("{a[0]} * {b[0]}",),
+    (ArithOp.DIV, 1): ("ieee_div({a[0]}, {b[0]})",),
+    (ArithOp.POW, 1): ("ieee_pow({a[0]}, {b[0]})",),
+    (ArithOp.MUL, 2): ("{a[0]} * {b[0]} - {a[1]} * {b[1]}", "{a[0]} * {b[1]} + {a[1]} * {b[0]}"),
+    (ArithOp.DIV, 2): (
+        "ieee_div({a[0]} * {b[0]} + {a[1]} * {b[1]}, {n})",
+        "ieee_div({a[1]} * {b[0]} - {a[0]} * {b[1]}, {n})",
+    ),
+    (ArithOp.MUL, 4): _HAMILTON,
+    (ArithOp.DIV, 4): _HAMILTON,
 }
 
 
-def _lane_of(p: Program):
-    """p's scalar lane, built on first request; False if p cannot have one."""
-    lane = p._lane
+def _lane_of(p: Program, sig: tuple[type, ...]):
+    """p's lane for argument types `sig`, built on first request; False if none."""
+    lane = p._lanes.get(sig)
     if lane is None:
-        lane = _build_lane(p)
-        object.__setattr__(p, "_lane", lane)
+        lane = _build_lane(p, sig)
+        object.__setattr__(p, "_lanes", {**p._lanes, sig: lane})
+        if all(t is Scalar for t in sig):
+            object.__setattr__(p, "_lane", lane)
     return lane
 
 
-def _build_lane(p: Program):
-    """Generate p's scalar lane: one function of the argument floats that
-    does the loop's IEEE operations in the loop's order and returns a float.
-
-    Each result gets its own local; argument loads, constants and frames
-    are only names, resolved here.  The lane has no error path: whatever it
-    raises, `run` re-runs the loop, which raises the exact error."""
-    if p.leaves or any(type(c) is not Scalar for c in p.constants):
+def _build_lane(p: Program, sig: tuple[type, ...]):
+    """Generate p's lane for argument types `sig`: a function of the boxed
+    arguments that returns the boxed result.  A value is a name x and a
+    width w, held as the locals x_0 .. x_{w-1}; x itself is bound to the
+    boxed value where there is one."""
+    if p.leaves or not all(t in _LANE_FIELDS for t in sig + tuple(map(type, p.constants))):
         return False
     ns: dict[str, object] = {
         "ieee_div": _ieee_div,
         "ieee_pow": _ieee_pow,
-        "UnsupportedKindError": UnsupportedKindError,
+        "value_binop": value_binop,
+        "apply_builtin": apply_builtin,
+        "POW": ArithOp.POW,
+        "box1": _scalar,
+        "box2": _complex,
+        "box4": _quat,
     }
     for k, c in enumerate(p.constants):
-        ns[f"c{k}"] = c.x  # a float, not its repr: inf, nan and -0.0 survive
-    n = p.arity.n
-    frame = [f"a{i}" for i in range(n)] if n else ["*args"]
-    lines = [f"def lane({', '.join(frame)}):"]
-    stack: list[str] = []
-    saved: list[list[str]] = []
+        ns[f"c{k}"] = c
+        for j, f in enumerate(_LANE_FIELDS[type(c)]):
+            ns[f"c{k}_{j}"] = getattr(c, f)  # a float, not its repr: inf, nan and -0.0 survive
+    comps = lambda v: [f"{v[0]}_{j}" for j in range(v[1])]
+    lines: list[str] = []
+    boxed = set(ns)  # names bound to boxed values (and others): the constants c<k>
+
+    def unbox(x: str, w: int, expr: str | None = None) -> tuple[str, int]:
+        """Bind x to expr's boxed value of width w (if given), then read its fields."""
+        if expr:
+            lines.append(f"    {x} = {expr}")
+        fields = ", ".join(f"{x}.{f}" for f in _LANE_FIELDS[_LANE_KINDS[w]])
+        lines.append(f"    {', '.join(comps((x, w)))} = {fields}")
+        boxed.add(x)
+        return x, w
+
+    def box(v: tuple[str, int]) -> str:
+        if v[0] not in boxed:
+            lines.append(f"    {v[0]} = box{v[1]}({', '.join(comps(v))})")
+            boxed.add(v[0])
+        return v[0]
+
+    # a polymorphic frame (None) only passes its arguments on
+    frame = [unbox(f"a{i}", len(_LANE_FIELDS[t])) for i, t in enumerate(sig)] if p.arity.n else None
+    head = ", ".join(x for x, _ in frame) if frame else "*args"
+    stack: list[tuple[str, int]] = []
+    saved: list = []
     for ip, (op, a) in enumerate(p.instructions):
         t = f"t{ip}"
         if op is _LOAD_ARG:
             stack.append(frame[a])
         elif op is _BINARY:
             y = stack.pop()
-            lines.append(f"    {t} = " + _LANE_BINARY[a].format(stack[-1], y))
-            stack[-1] = t
+            x = stack[-1]
+            w = max(x[1], y[1])
+            if (a, w) not in _LANE_OPS:
+                stack[-1] = unbox(t, w, f"value_binop(POW, {box(x)}, {box(y)})")
+                continue
+            xs, ys = (comps(v) + ["0.0"] * (w - v[1]) for v in (x, y))
+            if a is ArithOp.DIV and w > 1:
+                lines.append(f"    {t}n = " + " + ".join(f"{c} * {c}" for c in ys))
+                if w == 4:
+                    inv = [f"{t}i{j}" for j in range(4)]
+                    lines += [f"    {i} = ieee_div({'-' * (j > 0)}{c}, {t}n)"
+                              for j, (i, c) in enumerate(zip(inv, ys))]
+                    ys = inv
+            lines += [f"    {t}_{j} = " + s.format(a=xs, b=ys, n=f"{t}n")
+                      for j, s in enumerate(_LANE_OPS[a, w])]
+            stack[-1] = (t, w)
         elif op is _BEGIN_FRAME:
             saved.append(frame)
             frame = stack[-a:]
@@ -286,33 +352,35 @@ def _build_lane(p: Program):
         elif op is _END_FRAME:
             frame = saved.pop()
         elif op is _LOAD_CONST:
-            stack.append(f"c{a}")
+            stack.append((f"c{a}", len(_LANE_FIELDS[type(p.constants[a])])))
         elif op is _CALL_PRIM:
-            x = stack[-1]
-            stack[-1] = t
-            if a not in _SCALAR_KERNELS:  # a scan, which needs a vector
-                lines.append("    raise UnsupportedKindError")
-                continue
-            raw, repair = _SCALAR_KERNELS[a]
-            ns[f"k_{a}"], ns[f"r_{a}"] = raw, repair
-            if repair is None:  # the C function never raises
-                lines.append(f"    {t} = k_{a}({x})")
-            else:
-                lines.append(f"    try: {t} = k_{a}({x})")
-                lines.append(f"    except (ArithmeticError, ValueError): {t} = r_{a}({x})")
+            x, w = stack[-1]
+            if w == 1 and a in _SCALAR_KERNELS:
+                raw, repair = _SCALAR_KERNELS[a]
+                ns[f"k_{a}"], ns[f"r_{a}"] = raw, repair
+                if repair is None:  # the C function never raises
+                    lines.append(f"    {t}_0 = k_{a}({x}_0)")
+                else:
+                    lines.append(f"    try: {t}_0 = k_{a}({x}_0)")
+                    lines.append(f"    except (ArithmeticError, ValueError): {t}_0 = r_{a}({x}_0)")
+                stack[-1] = (t, 1)
+            else:  # complex and quaternion kernels (abs gives a scalar); a scan raises
+                stack[-1] = unbox(t, 1 if w == 4 else w, f"apply_builtin({a!r}, {box(stack[-1])})")
         elif op is _CALL_DEF:
-            callee = _lane_of(a)
+            callee = _lane_of(a, sig if frame is None else tuple(_LANE_KINDS[w] for _, w in frame))
             if not callee:
                 return False
             ns[f"d{ip}"] = callee
-            lines.append(f"    {t} = d{ip}({', '.join(frame)})")
-            stack.append(t)
+            args = "*args" if frame is None else ", ".join(map(box, frame))
+            stack.append(unbox(t, callee.width, f"d{ip}({args})"))
         else:  # NEGATE; a program without leaves has no CALL_LEAF
-            lines.append(f"    {t} = -{stack[-1]}")
-            stack[-1] = t
-    lines.append(f"    return {stack[0]}")
-    exec("\n".join(lines), ns)
-    return ns["lane"]
+            lines += [f"    {t}_{j} = -{c}" for j, c in enumerate(comps(stack[-1]))]
+            stack[-1] = (t, stack[-1][1])
+    lines.append(f"    return {box(stack[0])}")
+    exec(f"def lane({head}):\n" + "\n".join(lines), ns)
+    lane = ns["lane"]
+    lane.width = stack[0][1]  # the result's, for the lanes that call this one
+    return lane
 
 
 def run(p: Program, args: Sequence[Value]) -> Value:
@@ -323,23 +391,23 @@ def run(p: Program, args: Sequence[Value]) -> Value:
         raise ArityMismatchError(
             f"program expects {p.arity} argument(s), got {len(argtuple)}"
         )
-    xs = []
     for v in argtuple:
-        if type(v) is not Scalar:  # exact Scalars only; anything else runs the loop
+        if type(v) is not Scalar:
+            lanes = p._lanes
+            lane = lanes.get(tuple(map(type, argtuple))) if lanes else None
             break
-        xs.append(v.x)
-    else:
+    else:  # all exact Scalars: their lane needs no signature lookup
         lane = p._lane
-        if lane is None:
-            runs = p._scalar_runs + 1
-            object.__setattr__(p, "_scalar_runs", runs)
-            if runs >= _LANE_AFTER:
-                lane = _lane_of(p)
-        if lane:
-            try:
-                return _scalar(lane(*xs))
-            except Exception:
-                pass  # the loop below raises the exact error
+    if lane is None:
+        runs = p._runs + 1
+        object.__setattr__(p, "_runs", runs)
+        if runs >= _LANE_AFTER:
+            lane = _lane_of(p, tuple(map(type, argtuple)))
+    if lane:
+        try:
+            return lane(*argtuple)
+        except Exception:
+            pass  # the loop below raises the exact error
     stack: list[Value] = []
     push, pop = stack.append, stack.pop
     constants, leaves = p.constants, p.leaves

@@ -171,6 +171,19 @@ def test_repl_command_errors_keep_the_loop(monkeypatch, capsys):
     assert captured.err.count("\n") == 4
 
 
+def test_command_arguments_are_located_in_their_line(monkeypatch, capsys):
+    lines = "1\n:ast 1 +\n  :bench f(\n:ast\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+    assert run_repl(_config()) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1\n"
+    assert captured.err.splitlines() == [
+        "line 2, column 9: expected expression",
+        "line 3, column 10: unknown identifier 'f'",
+        "line 4, column 1: expected expression",
+    ]
+
+
 def test_bench_command_emits_json(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("f(x) = x^2\n:bench f(2)\n"))
     assert run_repl(_config(bench_iterations=5)) == 0

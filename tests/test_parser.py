@@ -223,6 +223,8 @@ _DIAGNOSTICS = [
     # lexer
     ("stmts", "1.2e-3@", LexError, "line 1, column 7: illegal character '@'"),
     ("stmts", "\u00e9", LexError, "line 1, column 1: illegal character '\u00e9'"),
+    ("stmts", "\u0663 + 1", LexError, "line 1, column 1: illegal character '\u0663'"),
+    ("stmts", "1:\u0663", LexError, "line 1, column 3: illegal character '\u0663'"),
     ("stmts", "a\n\t$", LexError, "line 2, column 2: illegal character '$'"),
     ("stmts", "1..2", LexError, "line 1, column 1: malformed number"),
     ("stmts", "x + 3e", LexError, "line 1, column 5: malformed number"),

@@ -565,6 +565,12 @@ def test_vector_kernels_equal_scalar_kernels_per_element(case):
             lambda: value_binop(op, sc, a),
             [lambda x=x: value_binop(op, sc, Scalar(x)) for x in xs],
         )
+    # x^0.5 (x^y is in the loop above): on a negative base ** goes complex,
+    # where the C-level vector kernel raises and the element is repaired
+    _assert_elementwise(
+        lambda: value_binop(POW, a, Scalar(0.5)),
+        [lambda x=x: value_binop(POW, Scalar(x), Scalar(0.5)) for x in xs],
+    )
     for name in PRIMITIVES:
         if name in ("cumsum", "cumprod"):
             # a prefix scan is the scalar fold from the identity

@@ -335,8 +335,9 @@ def test_constant_definition_keeps_declared_arity():
 
 
 # ---------------------------------------------------------------------------
-# The scalar lane: once a program has run on exact Scalars `_LANE_AFTER`
-# times, `run` calls its generated float function instead of the loop.
+# Lanes: once a program has run `_LANE_AFTER` times, `run` calls the generated
+# function for its argument types (Scalar, Complex and Quaternion) instead of
+# the loop.
 
 _EDGE = (
     0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308,
@@ -388,14 +389,51 @@ def _gen_lane_tree(rng, n, depth, defs):
     return apply_expr(sub(m), [sub(n) for _ in range(m)])
 
 
-def _set_lanes(p, lane):
-    """Set the lane of p and of every body it reaches: None (not built) or
-    False (the loop only)."""
+def _loop_results(p, cases, monkeypatch):
+    """run(p, args) for each case on the loop alone, with no lane in p or in
+    any body it reaches; an error is returned, not raised."""
     for q in _programs(p):
-        object.__setattr__(q, "_lane", lane)
+        for name, value in (("_lane", None), ("_lanes", {}), ("_runs", 0)):
+            object.__setattr__(q, name, value)
+    monkeypatch.setattr(funcalg.vm, "_LANE_AFTER", math.inf)
+    wants = []
+    for args in cases:
+        try:
+            wants.append(run(p, args))
+        except FuncalgError as err:
+            wants.append(err)
+    monkeypatch.undo()
+    return wants
 
 
-def test_scalar_lane_matches_the_loop_bit_for_bit():
+def _check_lane(p, args, want):
+    """The lane for args' types gives want bit for bit, by kind and by
+    `float.hex` per component; where the loop raised, the lane raises and
+    `run` re-raises the loop's exact error.  Returns the outcome's kind."""
+    lane = funcalg.vm._lane_of(p, tuple(map(type, args)))
+    assert callable(lane)
+    try:
+        got = lane(*args)
+    except Exception as err:
+        got = err
+    if isinstance(want, FuncalgError):
+        assert isinstance(got, Exception)
+        with pytest.raises(type(want)) as info:
+            run(p, args)  # the lane raises; the loop re-runs
+        assert str(info.value) == str(want)
+        assert str(want).startswith("instruction ")
+        return "error"
+    for value in (got, run(p, args)):
+        assert type(value) is type(want)
+        assert [x.hex() for x in _components(value)] == [x.hex() for x in _components(want)]
+    return type(want).__name__
+
+
+def _components(v):
+    return [getattr(v, f) for f in funcalg.vm._LANE_FIELDS[type(v)]]
+
+
+def test_scalar_lane_matches_the_loop_bit_for_bit(monkeypatch):
     defs = _parsed_defs()
     rng = random.Random(606)
     outcomes = collections.Counter()
@@ -403,34 +441,57 @@ def test_scalar_lane_matches_the_loop_bit_for_bit():
         n = rng.randint(1, 3)
         p = compile_expr(_gen_lane_tree(rng, n, rng.randint(0, 5), defs))
         cases = [tuple(Scalar(rng.choice(_EDGE)) for _ in range(n)) for _ in range(4)]
-        _set_lanes(p, False)
-        wants = []
-        for args in cases:
-            try:
-                wants.append(run(p, args))
-            except FuncalgError as err:
-                wants.append(err)
-        _set_lanes(p, None)
-        lane = funcalg.vm._lane_of(p)
-        assert callable(lane)
-        for args, want in zip(cases, wants):
-            try:
-                got = lane(*(a.x for a in args))
-            except Exception as err:
-                got = err
-            if isinstance(want, FuncalgError):
-                outcomes["error"] += 1
-                assert isinstance(got, Exception)
-                with pytest.raises(type(want)) as info:
-                    run(p, args)  # the lane raises; the loop re-runs
-                assert str(info.value) == str(want)
-                assert str(want).startswith("instruction ")
-            else:
-                outcomes["finite" if math.isfinite(want.x) else "inf/nan"] += 1
-                assert got.hex() == want.x.hex()
-                assert run(p, args).x.hex() == want.x.hex()
+        for args, want in zip(cases, _loop_results(p, cases, monkeypatch)):
+            outcome = _check_lane(p, args, want)
+            if outcome == "Scalar":
+                outcome = "finite" if math.isfinite(want.x) else "inf/nan"
+            outcomes[outcome] += 1
     # the corpus reaches errors, IEEE edge results and ordinary values
     assert min(outcomes.values()) >= 500, outcomes
+
+
+def _tower_edge_value(rng):
+    """A scalar, complex or quaternion value, its components from the edge
+    grid or from `gen_tower_value`."""
+    v = treegen.gen_tower_value(rng)
+    if rng.random() < 0.3:
+        v = type(v)(*(rng.choice(_EDGE) for _ in _components(v)))
+    return v
+
+
+def _gen_tower_lane_tree(rng, n, depth):
+    """`gen_tower_tree` subtrees joined by every operator (so ^ also meets
+    complex, quaternion and non-integer exponents), negation, composition
+    and definitions, with tower constants on the edge grid."""
+    r = rng.random()
+    if depth <= 0 or r < 0.25:
+        if rng.random() < 0.2:
+            return const_expr(_tower_edge_value(rng))
+        return treegen.gen_tower_tree(rng, n, rng.randint(0, 2))
+    sub = lambda m: _gen_tower_lane_tree(rng, m, depth - 1)
+    if r < 0.55:
+        return combine(rng.choice(list(ArithOp)), sub(n), sub(n))
+    if r < 0.65:
+        return negate(sub(n))
+    if r < 0.8:
+        return Def(f"d{depth}", Arity(n), sub(n))
+    m = rng.randint(1, 3)
+    return apply_expr(sub(m), [sub(n) for _ in range(m)])
+
+
+def test_tower_lane_matches_the_loop_bit_for_bit(monkeypatch):
+    rng = random.Random(808)
+    outcomes = collections.Counter()
+    for _ in range(1500):
+        n = rng.randint(1, 3)
+        p = compile_expr(_gen_tower_lane_tree(rng, n, rng.randint(0, 4)))
+        # one program, several signatures: each gets its own lane
+        cases = [tuple(_tower_edge_value(rng) for _ in range(n)) for _ in range(4)]
+        for args, want in zip(cases, _loop_results(p, cases, monkeypatch)):
+            outcomes[_check_lane(p, args, want)] += 1
+    # the corpus reaches errors and every kind of result
+    assert min(outcomes.values()) >= 300, outcomes
+    assert set(outcomes) == {"error", "Scalar", "Complex", "Quaternion"}, outcomes
 
 
 class _SubScalar(Scalar):
@@ -450,29 +511,37 @@ def _run_past_threshold(tree, args):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, lane",
     [
-        (Complex(1.0, 2.0), Scalar(3.0)),
-        (Quaternion(1.0, 0.0, 1.0, 0.0), Quaternion(0.0, 0.0, 0.0, 1.0)),
-        (Scalar(2.0), Vector((1.0, 2.0))),
-        (_SubScalar(1.5), Scalar(2.0)),
+        ((Complex(1.0, 2.0), Scalar(3.0)), True),
+        ((Quaternion(1.0, 0.0, 1.0, 0.0), Quaternion(0.0, 0.0, 0.0, 1.0)), True),
+        ((Scalar(2.0), Vector((1.0, 2.0))), False),
+        ((_SubScalar(1.5), Scalar(2.0)), False),
     ],
     ids=["complex", "quaternion", "vector", "scalar-subclass"],
 )
-def test_only_exact_scalar_runs_count_towards_a_lane(args):
+def test_tower_runs_get_a_lane_vector_and_subclass_runs_do_not(args, lane):
     x, y = params(2)
     p = _run_past_threshold(x + x * y - Def("d", Arity(2), x / y), args)
-    assert p._lane is None and p._scalar_runs == 0
+    sig = tuple(map(type, args))
+    assert list(p._lanes) == [sig] and callable(p._lanes[sig]) == lane
+    assert p._lane is None  # the all-Scalar lane
+    assert p._runs == funcalg.vm._LANE_AFTER
+
+
+def test_a_program_with_a_complex_constant_gets_a_lane():
+    p = _run_past_threshold(params(1)[0] * const_expr(Complex(0.0, 1.0)), (Scalar(0.75),))
+    assert callable(p._lane) and p._lanes == {(Scalar,): p._lane}
 
 
 @pytest.mark.parametrize(
     "tree",
     [
         params(1)[0] + _LEAF,
-        params(1)[0] * const_expr(Complex(0.0, 1.0)),
+        params(1)[0] * const_expr(Vector((1.0, 2.0))),
         params(1)[0] - Def("uses_leaf", Arity(1), _LEAF * params(1)[0]),
     ],
-    ids=["leaf", "complex-constant", "definition-with-leaf"],
+    ids=["leaf", "vector-constant", "definition-with-leaf"],
 )
 def test_programs_with_leaves_or_non_scalar_constants_stay_laneless(tree):
     p = _run_past_threshold(tree, (Scalar(0.75),))
@@ -512,3 +581,29 @@ def test_scalar_calls_programs_get_a_lane(name):
         args = tuple(Scalar(rng.uniform(0.2, 1.2)) for _ in range(n))
         assert run(p, args).x.hex() == evaluate(tree, args).x.hex()
         assert callable(p._lane) == (runs >= funcalg.vm._LANE_AFTER)
+
+
+def _tower_calls_trees():
+    """The `tower-calls` benchmark programs: the section 21 example and 2c."""
+    x, y = params(2)
+    f, g = x + x * y, x**2 + y
+    return {"21": (f + g - f * g, 2), "2c": _scalar_calls_trees()["2c"]}
+
+
+@pytest.mark.parametrize("name", ["21", "2c"])
+def test_tower_calls_programs_get_a_lane_per_signature(name):
+    tree, n = _tower_calls_trees()[name]
+    rng = random.Random(name)
+    p = compile_expr(tree)
+    built = set()
+    for runs in range(1, funcalg.vm._LANE_AFTER + 8):
+        kind = (Complex, Quaternion)[runs % 2]  # alternating, as the workload's points
+        fields = funcalg.vm._LANE_FIELDS[kind]
+        args = tuple(kind(*(rng.uniform(-2, 2) for _ in fields)) for _ in range(n))
+        got, want = run(p, args), evaluate(tree, args)
+        assert type(got) is type(want) is kind
+        assert [x.hex() for x in _components(got)] == [x.hex() for x in _components(want)]
+        if runs >= funcalg.vm._LANE_AFTER:  # the first run of a signature from then on builds its lane
+            built.add((kind,) * n)
+        assert set(p._lanes) == built and all(map(callable, p._lanes.values()))
+    assert len(built) == 2 and p._lane is None
