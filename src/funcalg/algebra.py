@@ -12,6 +12,7 @@ Trees are lazy: construction never invokes a leaf body.  They are also
 immutable, may share subtrees, and are safe to share across threads as
 long as leaf bodies are pure.  Parameters are `Arg` nodes, user
 definitions are `Def` nodes holding their body, host callables are `Leaf`s.
+Each node class evaluates itself: its `_eval(args)` method calls its children's.
 """
 
 from __future__ import annotations
@@ -132,6 +133,9 @@ class FuncExpr:
     def __call__(self, *args: ArgLike):
         return apply(self, args)
 
+    def _eval(self, args: tuple[Value, ...]) -> Value:
+        raise TypeError(f"not a function expression: {self!r}")
+
 
 @dataclass(frozen=True)
 class Leaf(FuncExpr):
@@ -145,6 +149,9 @@ class Leaf(FuncExpr):
         if not self.arity.is_fixed:
             raise ValueError("a leaf needs a fixed arity")
 
+    def _eval(self, args):
+        return self.body(*args)
+
 
 @dataclass(frozen=True)
 class Arg(FuncExpr):
@@ -157,6 +164,9 @@ class Arg(FuncExpr):
     def __post_init__(self):
         if not 0 <= self.i < (self.arity.n or 0):
             raise ValueError("a parameter index must be below a fixed arity")
+
+    def _eval(self, args):
+        return args[self.i]
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +184,9 @@ class Def(FuncExpr):
                 f"not {self.arity}"
             )
 
+    def _eval(self, args):
+        return self.body._eval(args)
+
 
 @dataclass(frozen=True)
 class Const(FuncExpr):
@@ -181,6 +194,9 @@ class Const(FuncExpr):
 
     v: Value
     arity: Arity = field(init=False, default=POLYMORPHIC, repr=False, compare=False)
+
+    def _eval(self, args):
+        return self.v
 
 
 @dataclass(frozen=True)
@@ -193,6 +209,9 @@ class Prim(FuncExpr):
     def __post_init__(self):
         if self.name not in BUILTIN_NAMES:
             raise UnknownPrimitiveError(f"unknown primitive '{self.name}'")
+
+    def _eval(self, args):
+        return apply_builtin(self.name, args[0])
 
 
 @dataclass(frozen=True)
@@ -207,6 +226,10 @@ class BinOp(FuncExpr):
     def __post_init__(self):
         object.__setattr__(self, "arity", _join(self.e1.arity, self.e2.arity))
 
+    def _eval(self, args):
+        # both operands get the identical args: the argument list is factored out
+        return value_binop(self.op, self.e1._eval(args), self.e2._eval(args))
+
 
 @dataclass(frozen=True)
 class Neg(FuncExpr):
@@ -217,6 +240,9 @@ class Neg(FuncExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "arity", self.e.arity)
+
+    def _eval(self, args):
+        return value_neg(self.e._eval(args))
 
 
 @dataclass(frozen=True)
@@ -244,6 +270,13 @@ class Apply(FuncExpr):
         for a in args:
             common = _join(common, a.arity)
         object.__setattr__(self, "arity", common)
+
+    def _eval(self, args):
+        # arguments left to right, then the callee; one argument, one frame
+        a = self.args
+        if len(a) == 1:
+            return self.callee._eval((a[0]._eval(args),))
+        return self.callee._eval(tuple([x._eval(args) for x in a]))
 
 
 # ---------------------------------------------------------------------------
@@ -303,32 +336,7 @@ def evaluate(e: FuncExpr, args: Sequence[Value]) -> Value:
         raise ArityMismatchError(
             f"expression expects {e.arity} argument(s), got {len(argtuple)}"
         )
-    return _eval(e, argtuple)
-
-
-def _eval(e: FuncExpr, args: tuple[Value, ...]) -> Value:
-    # both BinOp operands receive the identical args tuple: the argument
-    # list is factored out by construction
-    match e:
-        case Const():
-            return e.v
-        case Arg():
-            return args[e.i]
-        case Prim():
-            return apply_builtin(e.name, args[0])
-        case BinOp():
-            return value_binop(e.op, _eval(e.e1, args), _eval(e.e2, args))
-        case Neg():
-            return value_neg(_eval(e.e, args))
-        case Apply():
-            vals = tuple(_eval(a, args) for a in e.args)
-            return _eval(e.callee, vals)
-        case Leaf():
-            return e.body(*args)
-        case Def():
-            return _eval(e.body, args)
-        case _:
-            raise TypeError(f"not a function expression: {e!r}")
+    return e._eval(argtuple)
 
 
 def evaluate_constant(e: FuncExpr) -> Value:
@@ -337,7 +345,7 @@ def evaluate_constant(e: FuncExpr) -> Value:
         raise ArityMismatchError(
             f"expression expects {e.arity} argument(s); it is not a constant"
         )
-    return _eval(e, (Scalar(0.0),))
+    return e._eval((Scalar(0.0),))
 
 
 def apply(e: FuncExpr, args: Sequence[ArgLike]) -> Value | FuncExpr:

@@ -77,7 +77,7 @@ class Session:
 
         Returns False when the line asked to quit, True otherwise."""
         try:
-            command = parse_command(text)
+            command = parse_command(text, line_no)
             if command is not None:
                 return self._run_command(command, text, line_no)
             for tokens in statement_runs(tokenize(text, line_no)):
@@ -116,8 +116,10 @@ class Session:
 
     def _run_command(self, cmd: ReplCommand, text: str, line_no: int) -> bool:
         name = cmd.name.lower()
-        # an argument expression is parsed where it stands in the line
-        args = " " * (len(text.rstrip()) - len(cmd.args)) + cmd.args
+        # an argument is parsed, and its errors located, where it stands in the line
+        col = len(text.rstrip()) - len(cmd.args) + 1
+        args = " " * (col - 1) + cmd.args
+        at = f"line {line_no}, column {col}: "
         if name == "quit":
             return False
         if name == "env":
@@ -133,33 +135,31 @@ class Session:
         if name == "backend":
             choice = cmd.args.strip()
             if choice not in BACKENDS:
-                raise ParseError(f"backend must be one of {', '.join(BACKENDS)}")
+                raise ParseError(f"{at}backend must be one of {', '.join(BACKENDS)}")
             self.config.backend = choice
             return True
         if name == "digits":
             try:
                 digits = int(cmd.args.strip())
             except ValueError:
-                raise ParseError("':digits' needs an integer") from None
+                raise ParseError(f"{at}':digits' needs an integer") from None
             if not 1 <= digits <= 17:
-                raise ParseError("digits must be between 1 and 17")
+                raise ParseError(f"{at}digits must be between 1 and 17")
             self.config.digits = digits
             return True
         if name == "bench":
-            return self._run_bench(args, line_no)
-        raise ParseError(f"unknown command ':{cmd.name}'")
-
-    def _run_bench(self, text: str, line_no: int) -> bool:
-        tree = parse_expression(text, self.env, line_no)
-        if not (isinstance(tree, Apply) and not tree.arity.is_fixed):
-            raise ParseError(
-                "':bench' needs a call with constant arguments, "
-                "e.g. :bench (f+g)(1.5)"
-            )
-        argvals = [evaluate_constant(a) for a in tree.args]
-        for report in bench(tree.callee, argvals, self.config.bench_iterations):
-            self._print(report.as_json(self.config.digits))
-        return True
+            tree = parse_expression(args, self.env, line_no)
+            if not (isinstance(tree, Apply) and not tree.arity.is_fixed):
+                raise ParseError(
+                    f"{at}':bench' needs a call with constant arguments, "
+                    "e.g. :bench (f+g)(1.5)"
+                )
+            argvals = [evaluate_constant(a) for a in tree.args]
+            for report in bench(tree.callee, argvals, self.config.bench_iterations):
+                self._print(report.as_json(self.config.digits))
+            return True
+        col = len(text) - len(text.lstrip()) + 1
+        raise ParseError(f"line {line_no}, column {col}: unknown command ':{cmd.name}'")
 
     def _print(self, line: str) -> None:
         print(line, file=self.out)

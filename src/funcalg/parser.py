@@ -464,14 +464,15 @@ def parse_expression(text: str, env: Env, start_line: int = 1) -> FuncExpr:
     return tree
 
 
-def parse_command(text: str) -> ReplCommand | None:
+def parse_command(text: str, line_no: int = 1) -> ReplCommand | None:
     """Recognize a ':'-prefixed REPL command line; None if not a command."""
     stripped = text.strip()
     if not stripped.startswith(":"):
         return None
     name, _, rest = stripped[1:].partition(" ")
     if not name:
-        raise ParseError("line 1, column 1: missing command name after ':'")
+        col = len(text) - len(text.lstrip()) + 1
+        raise ParseError(f"line {line_no}, column {col}: missing command name after ':'")
     return ReplCommand(name, rest.strip())
 
 

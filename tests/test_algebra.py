@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcalg import (
     Apply,
@@ -19,6 +21,7 @@ from funcalg import (
     Quaternion,
     Scalar,
     apply,
+    apply_expr,
     arity_of,
     builtin,
     combine,
@@ -212,6 +215,27 @@ def test_apply_arity_errors():
         f(builtin("sin"), x + y)
 
 
+def _check_substitution(callee, args, ys):
+    composed = apply(callee, args)
+    try:
+        direct = evaluate(callee, tuple(evaluate(a, ys) for a in args))
+    except Exception as err:
+        with pytest.raises(type(err)):
+            evaluate(composed, ys)
+        return
+    assert same_value(evaluate(composed, ys), direct)
+
+
+def _check_homomorphism(op, e1, e2, args):
+    try:
+        want = value_binop(op, evaluate(e1, args), evaluate(e2, args))
+    except Exception as err:
+        with pytest.raises(type(err)):
+            evaluate(combine(op, e1, e2), args)
+        return
+    assert same_value(evaluate(combine(op, e1, e2), args), want)
+
+
 def test_substitution_law():
     rng = random.Random(77)
     for _ in range(200):
@@ -219,15 +243,7 @@ def test_substitution_law():
         k = rng.randint(1, 3)
         callee = treegen.gen_tree(rng, m, 3, vec_len=2)
         args = [treegen.gen_tree(rng, k, 2, vec_len=2) for _ in range(m)]
-        ys = treegen.gen_args(rng, k, vec_len=2)
-        composed = apply(callee, args)
-        try:
-            direct = evaluate(callee, tuple(evaluate(a, ys) for a in args))
-        except Exception as err:
-            with pytest.raises(type(err)):
-                evaluate(composed, ys)
-            continue
-        assert same_value(evaluate(composed, ys), direct)
+        _check_substitution(callee, args, treegen.gen_args(rng, k, vec_len=2))
 
 
 def test_homomorphism():
@@ -237,14 +253,50 @@ def test_homomorphism():
         op = rng.choice(list(ArithOp))
         e1 = treegen.gen_tree(rng, n, 3, vec_len=3)
         e2 = treegen.gen_tree(rng, n, 3, vec_len=3)
-        args = treegen.gen_args(rng, n, vec_len=3)
-        try:
-            want = value_binop(op, evaluate(e1, args), evaluate(e2, args))
-        except Exception as err:
-            with pytest.raises(type(err)):
-                evaluate(combine(op, e1, e2), args)
-            continue
-        assert same_value(evaluate(combine(op, e1, e2), args), want)
+        _check_homomorphism(op, e1, e2, treegen.gen_args(rng, n, vec_len=3))
+
+
+# the same laws at complex and quaternion points
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_substitution_law_over_the_tower(seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    k = rng.randint(1, 3)
+    callee = treegen.gen_tower_tree(rng, m, 3)
+    args = [treegen.gen_tower_tree(rng, k, 2) for _ in range(m)]
+    _check_substitution(callee, args, treegen.gen_tower_args(rng, k))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_homomorphism_over_the_tower(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    op = rng.choice(list(ArithOp))
+    e1 = treegen.gen_tower_tree(rng, n, 3)
+    e2 = treegen.gen_tower_tree(rng, n, 3)
+    _check_homomorphism(op, e1, e2, treegen.gen_tower_args(rng, n))
+
+
+def test_deep_trees_evaluate_at_the_default_recursion_limit():
+    # a one-argument composition costs one frame per level, as `+` does;
+    # a call with more arguments adds its comprehension's frame
+    x, = params(1)
+    u, v = params(2)
+    chain, flat, pair = x, x, x
+    want = 0.5
+    for _ in range(700):
+        chain = apply_expr(builtin("sin"), [chain])
+        want = math.sin(want)
+    for _ in range(900):
+        flat = flat + 1
+    for _ in range(400):
+        pair = apply_expr(u + v, [pair, x])
+    at = (Scalar(0.5),)
+    assert evaluate(chain, at) == Scalar(want)
+    assert evaluate(flat, at) == Scalar(900.5)
+    assert evaluate(pair, at) == Scalar(200.5)
 
 
 class _CountingLeaf:

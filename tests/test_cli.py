@@ -172,7 +172,10 @@ def test_repl_command_errors_keep_the_loop(monkeypatch, capsys):
 
 
 def test_command_arguments_are_located_in_their_line(monkeypatch, capsys):
-    lines = "1\n:ast 1 +\n  :bench f(\n:ast\n"
+    lines = (
+        "1\n:ast 1 +\n  :bench f(\n:ast\n:backend warp\n:digits x\n"
+        ":nosuch\n:bench 1+2\n  :\n :digits 99\n"
+    )
     monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
     assert run_repl(_config()) == 0
     captured = capsys.readouterr()
@@ -181,6 +184,13 @@ def test_command_arguments_are_located_in_their_line(monkeypatch, capsys):
         "line 2, column 9: expected expression",
         "line 3, column 10: unknown identifier 'f'",
         "line 4, column 1: expected expression",
+        "line 5, column 10: backend must be one of tree, vm, check",
+        "line 6, column 9: ':digits' needs an integer",
+        "line 7, column 1: unknown command ':nosuch'",
+        "line 8, column 8: ':bench' needs a call with constant arguments, "
+        "e.g. :bench (f+g)(1.5)",
+        "line 9, column 3: missing command name after ':'",
+        "line 10, column 10: digits must be between 1 and 17",
     ]
 
 

@@ -291,8 +291,11 @@ def test_definitions_run_in_the_vm(monkeypatch):
         session.execute_line(line)
 
     calls = []
-    walk = funcalg.algebra._eval
-    monkeypatch.setattr(funcalg.algebra, "_eval", lambda *a: calls.append(a) or walk(*a))
+    # every node class evaluates itself, so the walker is patched per class
+    for name in ("Leaf", "Arg", "Def", "Const", "Prim", "BinOp", "Neg", "Apply"):
+        walk = getattr(funcalg.algebra, name)._eval
+        spy = lambda *a, walk=walk: calls.append(a) or walk(*a)
+        monkeypatch.setattr(getattr(funcalg.algebra, name), "_eval", spy)
     session.execute_line("g(2, 3)")
     assert out.getvalue() == "8\n"
     assert calls == []
