@@ -513,7 +513,9 @@ def print_expr(e: FuncExpr) -> str:
     if isinstance(e, Neg):
         return f"(-{print_expr(e.e)})"
     if isinstance(e, Apply):
-        args = ", ".join(print_expr(a) for a in e.args)
+        # one argument, one frame, as in Apply._eval
+        a = e.args
+        args = print_expr(a[0]) if len(a) == 1 else ", ".join([print_expr(x) for x in a])
         return f"{print_expr(e.callee)}({args})"
     raise TypeError(f"not a function expression: {e!r}")
 

@@ -127,13 +127,15 @@ def _quat(w: float, x: float, y: float, z: float) -> Quaternion:
 
 # ---------------------------------------------------------------------------
 # Real arithmetic.  Python floats are IEEE-754 doubles, but CPython raises
-# where IEEE defines a result.  The kernel contract: every real kernel is a C
-# function plus the IEEE answer for the inputs where that function raises.
-# Callers run the C function first and the repair only where it raises, so
-# a vector kernel is one C-level map and only a repaired element pays for a
-# Python frame (`_map_ieee`).
+# where IEEE defines a result.  The kernel contract, for every real operator
+# here and every real builtin below: a kernel is a C function plus the IEEE
+# answer for the inputs where that function raises (None where it never
+# raises).  Callers run the C function first and the repair only where it
+# raises, so a vector kernel is one C-level map and only a repaired element
+# pays for a Python frame (`_map_ieee`).
 
 def _ieee_div(a: float, b: float) -> float:
+    """Total IEEE division: `/`'s repair, and the tower kernels' division."""
     try:
         return a / b
     except ZeroDivisionError:
@@ -143,34 +145,24 @@ def _ieee_div(a: float, b: float) -> float:
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _is_odd_int(b: float) -> bool:
-    return math.isfinite(b) and b == int(b) and int(b) % 2 != 0
-
-
-def _ieee_pow(a: float, b: float) -> float:
-    try:
-        r = a**b
-    except OverflowError:
-        return -math.inf if (a < 0 and _is_odd_int(b)) else math.inf
-    except ZeroDivisionError:
-        # 0 ** negative; the zero's sign survives only for odd exponents
-        neg = math.copysign(1.0, a) < 0 and _is_odd_int(b)
-        return -math.inf if neg else math.inf
-    if isinstance(r, complex):
-        # CPython picks the complex branch for a finite negative base with a
-        # non-integer exponent; IEEE pow says NaN.
+def _pow_raised(a: float, b: float) -> float:
+    """IEEE pow where `math.pow` raises: a zero base with a negative exponent,
+    a negative base with a non-integer exponent, or an overflow."""
+    if a < 0 and not b.is_integer():  # invalid, even where |a|^b overflows
         return math.nan
-    return float(r)
+    # an infinity (-0.0 < 0 is false, so a zero base lands here too),
+    # negative only for a negative sign and an odd integer exponent
+    return -math.inf if math.copysign(1.0, a) < 0 and b % 2.0 == 1.0 else math.inf
 
 
-# op -> (C function, total kernel); the total kernel serves as the repair
-# (add, sub and mul never raise on floats)
+# op -> (C function, IEEE answer where it raises); add, sub and mul never
+# raise on floats
 _REAL_OPS = {
-    ArithOp.ADD: (operator.add, operator.add),
-    ArithOp.SUB: (operator.sub, operator.sub),
-    ArithOp.MUL: (operator.mul, operator.mul),
+    ArithOp.ADD: (operator.add, None),
+    ArithOp.SUB: (operator.sub, None),
+    ArithOp.MUL: (operator.mul, None),
     ArithOp.DIV: (operator.truediv, _ieee_div),
-    ArithOp.POW: (operator.pow, _ieee_pow),
+    ArithOp.POW: (math.pow, _pow_raised),
 }
 
 
@@ -220,10 +212,7 @@ def _cexp(a: Complex) -> Complex:
         m = math.inf
     if a.im == 0.0:
         return _complex(m, 0.0)
-    try:
-        return _complex(m * math.cos(a.im), m * math.sin(a.im))
-    except ValueError:  # an infinite angle
-        return _complex(m * _total("cos", a.im), m * _total("sin", a.im))
+    return _complex(m * _total("cos", a.im), m * _total("sin", a.im))
 
 
 def _clog(a: Complex) -> Complex:
@@ -319,7 +308,11 @@ def _as_quaternion(v: Value) -> Quaternion:
 def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
     """Combine two values under `op`, promoting along the numeric tower."""
     if isinstance(a, Scalar) and isinstance(b, Scalar):
-        return _scalar(_REAL_OPS[op][1](a.x, b.x))
+        raw, repair = _REAL_OPS[op]
+        try:
+            return _scalar(raw(a.x, b.x))
+        except (ArithmeticError, ValueError):
+            return _scalar(repair(a.x, b.x))
     if isinstance(a, Vector) or isinstance(b, Vector):
         if isinstance(a, (Complex, Quaternion)) or isinstance(b, (Complex, Quaternion)):
             raise KindMismatchError(
@@ -329,10 +322,7 @@ def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
         y = b.xs if isinstance(b, Vector) else repeat(b.x)
         if isinstance(a, Vector) and isinstance(b, Vector) and len(x) != len(y):
             raise LengthMismatchError(f"vector lengths differ: {len(x)} vs {len(y)}")
-        raw, total = _REAL_OPS[op]
-        if op is ArithOp.POW and not (isinstance(b, Scalar) and b.x.is_integer()):
-            raw = math.pow  # raises where ** would go complex, so total repairs it
-        return _vector(_map_ieee(raw, total, x, y))
+        return _vector(_map_ieee(*_REAL_OPS[op], x, y))
 
     if isinstance(a, Quaternion) or isinstance(b, Quaternion):
         if op is ArithOp.POW:

@@ -24,27 +24,29 @@ re-entrant: concurrent runs are safe.
 `run` unpacks each instruction as `(op, a)` and tests `op` by identity
 against module-level opcode aliases, in descending order of the summed
 per-op opcode counts of the traced `scalar-calls` and `tower-calls`
-benchmarks.  One `try` wraps the loop; a counter names the failing index.
+benchmarks, counted before lanes (below) took over most of their runs.
+One `try` wraps the loop; a counter names the failing index.
 
 Lanes.  A program without CALL_LEAF whose constants are all exactly
 `Scalar`, `Complex` or `Quaternion` can also run as one generated Python
 function per argument-kind signature (its arguments' exact types, each one
 of those three).  Every value's kind is then known, and a value is 1, 2 or
-4 float locals; frames, argument loads and promotion (padding with 0.0)
-are only names.  `+ - * /`, negation and scalar `^` are inline, transcribed
-from the kernels in `values`; a scalar builtin is its C function and repair.
-The rest (complex and quaternion `^` and builtins, scans, CALL_DEF) boxes
-its operands, calls the kernel or the body's lane, and unpacks the result
-by its known kind.  `run` tries the all-`Scalar` lane first, with no
-signature lookup; it counts the runs that find no lane and, from the
-`_LANE_AFTER`-th (never at compile time), builds the run's lane.  Vectors,
-`Scalar` subclasses and leaves stay laneless.  A lane has no error path:
-if it raises (a kind error, say), `run` re-runs the loop, which raises the
-exact error; with no leaves, nothing impure runs twice.  Contract: a lane
-does the loop's IEEE operations in the loop's order, so its result is
-bit-identical (`float.hex` per component) to the loop's.  Counting and
-building are not locked: two threads may each build a lane, and either one
-is correct.
+4 float locals; frames, argument loads and promotion (padding with 0.0) are
+only names.  `+ - *`, negation and complex and quaternion `/` are inline,
+transcribed from the kernels in `values`.  Scalar `/`, scalar `^` and
+scalar builtins are their real kernel: the C function, and the repair where
+it raises.  The rest (complex and quaternion `^` and builtins, scans,
+CALL_DEF) boxes its operands, calls the kernel or the body's lane, and
+unpacks the result by its known kind.  `run` tries the all-`Scalar` lane
+first, with no signature lookup; it counts the runs that find no lane and,
+from the `_LANE_AFTER`-th (never at compile time), builds the run's lane.
+Vectors, `Scalar` subclasses and leaves stay laneless.  A lane has no
+error path: if it raises (a kind error, say), `run` re-runs the loop, which
+raises the exact error; with no leaves, nothing impure runs twice.
+Contract: a lane does the loop's IEEE operations in the loop's order, so
+its result is bit-identical (`float.hex` per component) to the loop's.
+Counting and building are not locked: two threads may each build a lane,
+and either one is correct.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .errors import (
     InvalidProgramError,
 )
 from .values import ArithOp, BUILTIN_NAMES, Complex, Quaternion, Scalar, Value, apply_builtin, format_value, same_value, value_binop, value_neg
-from .values import _SCALAR_KERNELS, _complex, _ieee_div, _ieee_pow, _quat, _scalar
+from .values import _REAL_OPS, _SCALAR_KERNELS, _complex, _ieee_div, _quat, _scalar
 
 
 class Op(Enum):
@@ -244,7 +246,8 @@ _LANE_KINDS = {len(f): t for t, f in _LANE_FIELDS.items()}  # width -> type
 # promoted to that width by padding with 0.0 as `_as_complex`/`_as_quaternion`
 # do; n is the divisor's squared norm, and for a quaternion / b is the
 # divisor's inverse.  Transcribed from _cmul, _cdiv, _qmul and _qdiv in their
-# operand order and association.  Complex and quaternion ^ call value_binop.
+# operand order and association.  Scalar / and ^ are their `_REAL_OPS` kernel
+# pair; complex and quaternion ^ call value_binop.
 _HAMILTON = (
     "{a[0]} * {b[0]} - {a[1]} * {b[1]} - {a[2]} * {b[2]} - {a[3]} * {b[3]}",
     "{a[0]} * {b[1]} + {a[1]} * {b[0]} + {a[2]} * {b[3]} - {a[3]} * {b[2]}",
@@ -255,8 +258,6 @@ _LANE_OPS = {
     **{(op, w): tuple(f"{{a[{j}]}} {op.value} {{b[{j}]}}" for j in range(w))
        for op in (ArithOp.ADD, ArithOp.SUB) for w in (1, 2, 4)},
     (ArithOp.MUL, 1): ("{a[0]} * {b[0]}",),
-    (ArithOp.DIV, 1): ("ieee_div({a[0]}, {b[0]})",),
-    (ArithOp.POW, 1): ("ieee_pow({a[0]}, {b[0]})",),
     (ArithOp.MUL, 2): ("{a[0]} * {b[0]} - {a[1]} * {b[1]}", "{a[0]} * {b[1]} + {a[1]} * {b[0]}"),
     (ArithOp.DIV, 2): (
         "ieee_div({a[0]} * {b[0]} + {a[1]} * {b[1]}, {n})",
@@ -287,7 +288,6 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         return False
     ns: dict[str, object] = {
         "ieee_div": _ieee_div,
-        "ieee_pow": _ieee_pow,
         "value_binop": value_binop,
         "apply_builtin": apply_builtin,
         "POW": ArithOp.POW,
@@ -312,6 +312,18 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         boxed.add(x)
         return x, w
 
+    def kernel(t: str, name: str, pair, *xs: tuple[str, int]) -> tuple[str, int]:
+        """Bind t_0 to a real kernel pair (C function, repair or None) on the
+        scalars xs: the C function, and the repair where it raises."""
+        ns[f"k_{name}"], ns[f"r_{name}"] = pair
+        call = f"({', '.join(x + '_0' for x, _ in xs)})"
+        if pair[1] is None:
+            lines.append(f"    {t}_0 = k_{name}{call}")
+        else:
+            lines.append(f"    try: {t}_0 = k_{name}{call}")
+            lines.append(f"    except (ArithmeticError, ValueError): {t}_0 = r_{name}{call}")
+        return t, 1
+
     def box(v: tuple[str, int]) -> str:
         if v[0] not in boxed:
             lines.append(f"    {v[0]} = box{v[1]}({', '.join(comps(v))})")
@@ -331,8 +343,9 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             y = stack.pop()
             x = stack[-1]
             w = max(x[1], y[1])
-            if (a, w) not in _LANE_OPS:
-                stack[-1] = unbox(t, w, f"value_binop(POW, {box(x)}, {box(y)})")
+            if (a, w) not in _LANE_OPS:  # scalar / and ^, or complex and quaternion ^
+                stack[-1] = (kernel(t, a.name, _REAL_OPS[a], x, y) if w == 1
+                             else unbox(t, w, f"value_binop(POW, {box(x)}, {box(y)})"))
                 continue
             xs, ys = (comps(v) + ["0.0"] * (w - v[1]) for v in (x, y))
             if a is ArithOp.DIV and w > 1:
@@ -354,16 +367,9 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         elif op is _LOAD_CONST:
             stack.append((f"c{a}", len(_LANE_FIELDS[type(p.constants[a])])))
         elif op is _CALL_PRIM:
-            x, w = stack[-1]
+            w = stack[-1][1]
             if w == 1 and a in _SCALAR_KERNELS:
-                raw, repair = _SCALAR_KERNELS[a]
-                ns[f"k_{a}"], ns[f"r_{a}"] = raw, repair
-                if repair is None:  # the C function never raises
-                    lines.append(f"    {t}_0 = k_{a}({x}_0)")
-                else:
-                    lines.append(f"    try: {t}_0 = k_{a}({x}_0)")
-                    lines.append(f"    except (ArithmeticError, ValueError): {t}_0 = r_{a}({x}_0)")
-                stack[-1] = (t, 1)
+                stack[-1] = kernel(t, a, _SCALAR_KERNELS[a], stack[-1])
             else:  # complex and quaternion kernels (abs gives a scalar); a scan raises
                 stack[-1] = unbox(t, 1 if w == 4 else w, f"apply_builtin({a!r}, {box(stack[-1])})")
         elif op is _CALL_DEF:

@@ -27,6 +27,7 @@ from funcalg import (
     Session,
     UnknownIdentifierError,
     Vector,
+    apply_expr,
     builtin,
     evaluate,
     evaluate_constant,
@@ -451,6 +452,14 @@ def test_print_expr_examples():
     assert print_expr(Const(Quaternion(4, 2, 2, -1))) == "4+2i+2j-1k"
 
 
+def test_print_expr_prints_deep_one_argument_chains():
+    # one argument costs one frame per level, as evaluation does
+    chain = builtin("sin")
+    for _ in range(900):
+        chain = apply_expr(builtin("sin"), [chain])
+    assert print_expr(chain) == "Sin(" * 900 + "Sin" + ")" * 900
+
+
 def test_print_parse_round_trip_examples():
     env = _round_trip_env()
     f = env.lookup("f")
@@ -469,18 +478,34 @@ def test_print_parse_round_trip_examples():
         assert parse_expression(print_expr(tree), env) == tree
 
 
-def test_print_parse_round_trip_random():
-    env = _round_trip_env()
-    named = {
+def _round_trip_named(env):
+    """The names of `_round_trip_env` by arity, and two builtins."""
+    return {
         1: [env.lookup("f"), env.lookup("g"), builtin("sin"), builtin("log")],
         2: [env.lookup("h")],
         3: [env.lookup("t")],
     }
+
+
+def test_print_parse_round_trip_random():
+    env = _round_trip_env()
+    named = _round_trip_named(env)
     rng = random.Random(4321)
     for _ in range(500):
         tree = _gen_named_tree(rng, named, rng.randint(1, 3), 4)
         text = print_expr(tree)
         assert parse_expression(text, env) == tree, text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 3), depth=st.integers(0, 4))
+def test_print_parse_round_trip(rng, n, depth):
+    # the shapes above, drawn and shrunk by Hypothesis; depth 4 nests far
+    # below MAX_NESTING
+    env = _round_trip_env()
+    tree = _gen_named_tree(rng, _round_trip_named(env), n, depth)
+    text = print_expr(tree)
+    assert parse_expression(text, env) == tree, text
 
 
 def _gen_named_tree(rng, named, n, depth):

@@ -91,6 +91,41 @@ def test_scalar_pow_against_oracles():
             assert _bits_equal(got, host), f"{a!r} ^ {b!r}: {got!r} != {host!r}"
 
 
+def _pow_reference(a: float, b: float) -> float:
+    """IEEE 754 pow from host `**`, the domain checked before overflow."""
+    if a < 0 and math.isfinite(a) and math.isfinite(b) and not b.is_integer():
+        return math.nan  # invalid operation, even where |a|^b overflows
+    odd = math.isfinite(b) and b.is_integer() and int(b) % 2 == 1
+    try:
+        return a**b
+    except ZeroDivisionError:  # 0 ** negative
+        return -math.inf if odd and math.copysign(1.0, a) < 0 else math.inf
+    except OverflowError:
+        return -math.inf if odd and a < 0 else math.inf
+
+
+def test_pow_equals_a_reference_that_checks_the_domain_before_overflow():
+    grid = [0.0, -0.0, 1e308, -1e308, 1e-308, -1e-308, 5e-324, -5e-324,
+            math.inf, -math.inf, math.nan, 0.5, -0.5, 2.5, -2.5, 7.5, -7.5]
+    grid += [float(s * k) for s in (1, -1) for k in range(1020, 1029)]
+    rng = random.Random(2019)
+    pairs = [(a, b) for a in grid for b in grid]
+    for _ in range(4000):
+        a = rng.choice((rng.uniform(-1e3, 1e3), -(10 ** rng.uniform(-308, 308)), rng.choice(grid)))
+        b = rng.choice((rng.uniform(-400, 400), float(rng.randint(-1100, 1100)), rng.choice(grid)))
+        pairs.append((a, b))
+    bases, exponents = zip(*pairs)
+    vector = value_binop(POW, Vector(bases), Vector(exponents)).xs
+    invalid_overflows = 0
+    for a, b, v in zip(bases, exponents, vector):
+        want = _pow_reference(a, b)
+        for got in (value_binop(POW, Scalar(a), Scalar(b)).x, v):
+            assert got.hex() == want.hex() or (got != got and want != want), (a, b, got, want)
+        if want != want and a == a and b == b and math.isinf(_pow_reference(-a, b)):
+            invalid_overflows += 1
+    assert invalid_overflows >= 20  # the corpus reaches the case where order matters
+
+
 def test_division_by_zero_produces_inf_and_nan():
     inf = value_binop(DIV, Scalar(1.0), Scalar(0.0))
     assert inf == Scalar(math.inf)

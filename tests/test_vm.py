@@ -40,6 +40,7 @@ from funcalg import (
     const_expr,
     evaluate,
     lift_function,
+    main,
     negate,
     params,
     parse_expression,
@@ -610,3 +611,23 @@ def test_tower_calls_programs_get_a_lane_per_signature(name):
             built.add((kind,) * n)
         assert set(p._lanes) == built and all(map(callable, p._lanes.values()))
     assert len(built) == 2 and p._lane is None
+
+
+@pytest.mark.parametrize("text, base, exponent", [
+    ("(-1e308)^2.5", -1e308, 2.5),
+    ("(-1e-308)^(-7.5)", -1e-308, -7.5),
+])
+def test_negative_base_to_a_non_integer_power_is_nan_where_it_overflows(text, base, exponent, capsys):
+    # IEEE pow: invalid operation, though |base|^exponent overflows; every path agrees
+    a, b = Scalar(base), Scalar(exponent)
+    assert math.isnan(value_binop(ArithOp.POW, a, b).x)
+    x, y = params(2)
+    p = compile_expr(x**y)
+    assert math.isnan(evaluate(x**y, (a, b)).x)
+    for _ in range(funcalg.vm._LANE_AFTER + 1):  # the loop, then the lane
+        assert math.isnan(run(p, (a, b)).x)
+    assert math.isnan(p._lane(a, b).x)
+    xs = value_binop(ArithOp.POW, Vector((base, 4.0)), b).xs
+    assert math.isnan(xs[0]) and xs[1] == 4.0**exponent
+    assert main(["-e", text]) == 0
+    assert capsys.readouterr().out == "NaN\n"
