@@ -29,10 +29,12 @@ from .algebra import (
     Leaf,
     Neg,
     POLYMORPHIC,
+    PRIMITIVES,
     Prim,
     apply,
     apply_expr,
     arity_of,
+    builtin,
     combine,
     const_expr,
     evaluate,
@@ -72,7 +74,6 @@ from .parser import (
     print_expr,
     tokenize,
 )
-from .primitives import PRIMITIVES, builtin
 from .values import (
     ArithOp,
     Complex,

@@ -24,6 +24,7 @@ from .errors import ArityMismatchError, UnknownPrimitiveError
 from .values import (
     ArithOp,
     BUILTIN_NAMES,
+    BUILTIN_ORDER,
     Complex,
     Scalar,
     Value,
@@ -212,6 +213,24 @@ class Prim(FuncExpr):
 
     def _eval(self, args):
         return apply_builtin(self.name, args[0])
+
+
+PRIMITIVES: tuple[str, ...] = BUILTIN_ORDER
+
+_PRIM_NODES = {name: Prim(name) for name in PRIMITIVES}
+
+
+def builtin(name: str) -> FuncExpr:
+    """Look up a builtin by name (case-insensitive); returns its Prim node.
+
+    Builtins combine and compose like any function expression:
+    `builtin("sin") + builtin("log")` is a unary function expression.  The
+    registry is fixed; user functions go through `lift_function`.
+    """
+    node = _PRIM_NODES.get(name.lower())
+    if node is None:
+        raise UnknownPrimitiveError(f"unknown primitive '{name}'")
+    return node
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .algebra import Apply, FuncExpr, evaluate_constant
+from .algebra import Apply, Arity, Def, FuncExpr, evaluate_constant
 from .errors import (
     ArityMismatchError,
     FuncalgError,
@@ -35,7 +35,6 @@ from .parser import (
     Env,
     FunctionDef,
     ReplCommand,
-    function_from_tree,
     parse_command,
     parse_expression,
     parse_statement,
@@ -91,7 +90,7 @@ class Session:
     def _run_statement(self, stmt) -> None:
         if isinstance(stmt, FunctionDef):
             n = len(stmt.params) or stmt.body.arity.n
-            self.env.define(stmt.name, function_from_tree(stmt.name, n, stmt.body))
+            self.env.define(stmt.name, Def(stmt.name, Arity(n), stmt.body))
         elif isinstance(stmt, ConstDef):
             self.env.define(stmt.name, stmt.value)
         elif isinstance(stmt, BareExpression):

@@ -13,13 +13,20 @@ Grammar (EBNF):
     statement := IDENT "(" IDENT {"," IDENT} ")" "=" expr
                | IDENT "=" expr
                | expr
-    expr      := term {("+"|"-") term}
-    term      := factor {("*"|"/") factor}
-    factor    := "-" factor | power
-    power     := postfix ["^" factor]
-    postfix   := atom {"(" [expr {"," expr}] ")"}
-    atom      := NUMBER | NUMBER ":" NUMBER | IDENT
-               | "(" expr ")" | "[" expr {"," expr} "]"
+    expr      := factor {("+"|"-"|"*"|"/") factor}
+    factor    := "-" factor | atom ["^" factor]
+    atom      := (NUMBER | NUMBER ":" NUMBER | IDENT
+                 | "(" expr ")" | "[" expr {"," expr} "]")
+                 {"(" [expr {"," expr}] ")"}
+
+`expr` climbs precedence by binding power:
+
+    operator  "+" "-"  "*" "/"
+    power       1        2
+
+`expr(min_bp)` reads a factor, then each operator of power at least min_bp
+with its right operand parsed by `expr(power + 1)`, so all four are
+left-associative and "*" "/" bind tighter than "+" "-".
 
 Comments run from "#" to end of line.  Postfix call binds tightest, then
 unary minus, except that "^" (right-associative) binds tighter than unary
@@ -50,6 +57,7 @@ from .algebra import (
     Neg,
     Prim,
     apply_expr,
+    builtin,
     combine,
     const_expr,
     evaluate,  # unused here; the traced benchmark run patches parser.evaluate
@@ -64,7 +72,6 @@ from .errors import (
     ParseError,
     UnknownIdentifierError,
 )
-from .primitives import builtin, surface_name
 from .values import ArithOp, BUILTIN_NAMES, Complex, Quaternion, Scalar, Value, Vector, format_value
 
 
@@ -226,6 +233,7 @@ MAX_NESTING = 100  # nested factors (parentheses, call arguments, unary -, ^ exp
 
 
 _OPS = {op.value: op for op in ArithOp}
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}  # binary operators below "^", by binding power
 
 
 class _Parser:
@@ -328,18 +336,13 @@ class _Parser:
 
     # -- expressions
 
-    def expr(self) -> FuncExpr:
-        left = self.term()
-        while (tok := self.tokens[self.pos]).lexeme in ("+", "-"):
-            self.pos += 1
-            left = self._at(tok, combine, _OPS[tok.lexeme], left, self.term())
-        return left
-
-    def term(self) -> FuncExpr:
+    def expr(self, min_bp: int = 1) -> FuncExpr:
+        # precedence climbing: a right operand binds only tighter operators,
+        # so every binary operator is left-associative
         left = self.factor()
-        while (tok := self.tokens[self.pos]).lexeme in ("*", "/"):
+        while (bp := _BINDING.get((tok := self.tokens[self.pos]).lexeme, 0)) >= min_bp:
             self.pos += 1
-            left = self._at(tok, combine, _OPS[tok.lexeme], left, self.factor())
+            left = self._at(tok, combine, _OPS[tok.lexeme], left, self.expr(bp + 1))
         return left
 
     def factor(self) -> FuncExpr:
@@ -353,25 +356,11 @@ class _Parser:
             self.pos += 1
             node = negate(self.factor())
         else:
-            node = self.power()
+            node = self.atom()
+            if (tok := self.tokens[self.pos]).lexeme == "^":
+                self.pos += 1
+                node = self._at(tok, combine, ArithOp.POW, node, self.factor())
         self.depth -= 1
-        return node
-
-    def power(self) -> FuncExpr:
-        base = self.postfix()
-        tok = self.tokens[self.pos]
-        if tok.lexeme == "^":
-            self.pos += 1
-            return self._at(tok, combine, ArithOp.POW, base, self.factor())
-        return base
-
-    def postfix(self) -> FuncExpr:
-        node = self.atom()
-        while (open_tok := self.tokens[self.pos]).kind == "lparen":
-            self.pos += 1
-            args = [] if self._check("rparen") else self._comma_list(self.expr)
-            self._expect("rparen", "')'")
-            node = self._at(open_tok, apply_expr, node, args)
         return node
 
     def atom(self) -> FuncExpr:
@@ -384,17 +373,24 @@ class _Parser:
             if self._check("colon"):
                 self.pos += 1
                 hi_tok = self._expect("number", "range endpoint")
-                return const_expr(self._range_vector(tok, hi_tok))
-            return const_expr(Scalar(float(tok.lexeme)))
-        if kind == "ident":
-            return self._resolve(tok)
-        if kind == "lparen":
-            inner = self.expr()
+                node = const_expr(self._range_vector(tok, hi_tok))
+            else:
+                node = const_expr(Scalar(float(tok.lexeme)))
+        elif kind == "ident":
+            node = self._resolve(tok)
+        elif kind == "lparen":
+            node = self.expr()
             self._expect("rparen", "')'")
-            return inner
-        elems = self._comma_list(self._vector_element)
-        self._expect("rbracket", "']'")
-        return const_expr(Vector(tuple(elems)))
+        else:
+            elems = self._comma_list(self._vector_element)
+            self._expect("rbracket", "']'")
+            node = const_expr(Vector(tuple(elems)))
+        while (open_tok := self.tokens[self.pos]).kind == "lparen":
+            self.pos += 1
+            args = [] if self._check("rparen") else self._comma_list(self.expr)
+            self._expect("rparen", "')'")
+            node = self._at(open_tok, apply_expr, node, args)
+        return node
 
     def _comma_list(self, item) -> list:
         items = [item()]
@@ -500,7 +496,7 @@ def print_expr(e: FuncExpr) -> str:
     if isinstance(e, (Arg, Def, Leaf)):
         return e.name
     if isinstance(e, Prim):
-        return surface_name(e.name)
+        return e.name.capitalize()
     if isinstance(e, Const):
         v = e.v
         if isinstance(v, Scalar):
@@ -518,8 +514,3 @@ def print_expr(e: FuncExpr) -> str:
         args = print_expr(a[0]) if len(a) == 1 else ", ".join([print_expr(x) for x in a])
         return f"{print_expr(e.callee)}({args})"
     raise TypeError(f"not a function expression: {e!r}")
-
-
-def function_from_tree(name: str, nparams: int, body: FuncExpr) -> FuncExpr:
-    """Bind a parsed definition body as a named definition of the given arity."""
-    return Def(name, Arity(nparams), body)

@@ -212,7 +212,11 @@ def _cexp(a: Complex) -> Complex:
         m = math.inf
     if a.im == 0.0:
         return _complex(m, 0.0)
-    return _complex(m * _total("cos", a.im), m * _total("sin", a.im))
+    try:
+        c, s = math.cos(a.im), math.sin(a.im)
+    except ValueError:  # both raise only on an infinite angle, where both are NaN
+        c = s = math.nan
+    return _complex(m * c, m * s)
 
 
 def _clog(a: Complex) -> Complex:
@@ -422,7 +426,7 @@ _COMPLEX_KERNELS = {
     ),
 }
 
-# kernel-table order, which seeded draws over `primitives.PRIMITIVES` depend on
+# kernel-table order, which seeded draws over `algebra.PRIMITIVES` depend on
 BUILTIN_ORDER = tuple(_SCALAR_KERNELS) + _SCAN_KERNELS
 BUILTIN_NAMES = frozenset(BUILTIN_ORDER)
 

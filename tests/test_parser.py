@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcalg import (
+    Arity,
     ArityMismatchError,
     BareExpression,
     BinOp,
     Complex,
     Const,
     ConstDef,
+    Def,
     Env,
     FuncalgError,
     FunctionDef,
@@ -40,7 +42,7 @@ from funcalg import (
     tokenize,
     value_binop,
 )
-from funcalg.parser import MAX_NESTING, function_from_tree, statement_runs
+from funcalg.parser import MAX_NESTING, statement_runs
 
 import treegen
 
@@ -112,7 +114,7 @@ def test_precedence_and_associativity():
 def test_precedence_against_shunting_yard_oracle():
     rng = random.Random(1234)
     env = Env()
-    for _ in range(500):
+    for _ in range(2000):
         text, tokens = treegen.gen_arith_string(rng)
         got = _to_tuple(parse_expression(text, env))
         want = treegen.shunting_yard(tokens)
@@ -392,12 +394,12 @@ def test_arity_mismatch_is_positioned():
 
 def test_early_binding():
     env = Env()
-    env.define("g", function_from_tree("g", 1, parse_expression("Sin", env)))
+    env.define("g", Def("g", Arity(1), parse_expression("Sin", env)))
     f_def = parse_statement(tokenize("f(x) = g(x) + 1"), env)
-    f = function_from_tree("f", 1, f_def.body)
+    f = Def("f", Arity(1), f_def.body)
     env.define("f", f)
     before = evaluate(parse_expression("f(0.5)", env), (Scalar(0.0),))
-    env.define("g", function_from_tree("g", 1, parse_expression("Cos", env)))
+    env.define("g", Def("g", Arity(1), parse_expression("Cos", env)))
     after = evaluate(parse_expression("f(0.5)", env), (Scalar(0.0),))
     assert before == after == Scalar(math.sin(0.5) + 1)
 

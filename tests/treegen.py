@@ -160,6 +160,7 @@ def gen_tower_tree(rng: random.Random, n: int, depth: int):
 # Shunting-yard oracle for precedence tests: a separate algorithm producing
 # tuple ASTs ("+", left, right) / ("neg", operand), with unary minus on a
 # bare number folded to a negative literal, matching the parser convention.
+# Parentheses group and leave no node of their own.
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 _RIGHT = {"^", "neg"}
@@ -172,7 +173,7 @@ def _fold_neg(operand):
 
 
 def shunting_yard(tokens):
-    """tokens: floats and operator strings, unary minus spelled "neg"."""
+    """tokens: floats, operator strings and "(" ")", unary minus spelled "neg"."""
     out = []
     ops = []
 
@@ -189,10 +190,15 @@ def shunting_yard(tokens):
         if isinstance(tok, float):
             out.append(tok)
             continue
-        if tok == "neg":
-            ops.append(tok)  # prefix operators never pop
+        if tok in ("neg", "("):
+            ops.append(tok)  # prefix operators and "(" never pop
             continue
-        while ops and (
+        if tok == ")":
+            while ops[-1] != "(":
+                reduce_top()
+            ops.pop()
+            continue
+        while ops and ops[-1] != "(" and (
             _PREC[ops[-1]] > _PREC[tok]
             or (_PREC[ops[-1]] == _PREC[tok] and tok not in _RIGHT)
         ):
@@ -204,24 +210,36 @@ def shunting_yard(tokens):
     return out[0]
 
 
-def gen_arith_string(rng: random.Random, max_terms: int = 8):
-    """Random flat arithmetic text plus the token list for the oracle."""
+def gen_arith_string(rng: random.Random, max_terms: int = 8, depth: int = 2):
+    """Random arithmetic text plus the token list for the oracle.
+
+    Operands are numbers or, up to `depth` levels deep, parenthesised
+    subexpressions; either may carry a run of unary minus (`--2`, `-(1 + 2)`).
+    """
     parts = []
     tokens = []
 
-    def number():
+    def operand(depth):
+        minus = rng.choices((0, 1, 2, 3), (70, 20, 7, 3))[0]
+        tokens.extend(["neg"] * minus)
+        if depth > 0 and rng.random() < 0.25:
+            parts.append("-" * minus + "(")
+            tokens.append("(")
+            sequence(depth - 1, 3)
+            parts.append(")")
+            tokens.append(")")
+            return
         val = float(rng.randint(1, 9)) if rng.random() < 0.7 else round(rng.uniform(0.5, 9.5), 2)
-        if rng.random() < 0.25:
-            parts.append(f"-{val!r}")
-            tokens.append("neg")
-        else:
-            parts.append(repr(val))
+        parts.append("-" * minus + repr(val))
         tokens.append(val)
 
-    number()
-    for _ in range(rng.randint(1, max_terms)):
-        op = rng.choice("+-*/^")
-        parts.append(op)
-        tokens.append(op)
-        number()
+    def sequence(depth, max_terms):
+        operand(depth)
+        for _ in range(rng.randint(1, max_terms)):
+            op = rng.choice("+-*/^")
+            parts.append(op)
+            tokens.append(op)
+            operand(depth)
+
+    sequence(depth, max_terms)
     return " ".join(parts), tokens
