@@ -183,7 +183,8 @@ def _map_ieee(raw, repair, *cols) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # Complex arithmetic, built on the real helpers so that zero denominators
 # produce Inf/NaN components instead of raising.  `vm._LANE_OPS` transcribes
-# _cmul and _cdiv term for term: change the two together.
+# _cmul and _cdiv term for term: change the two together.  Lanes call
+# _cpow_parts itself, so complex ^ has one implementation.
 
 def _cadd(a: Complex, b: Complex) -> Complex:
     return _complex(a.re + b.re, a.im + b.im)
@@ -205,34 +206,48 @@ def _cdiv(a: Complex, b: Complex) -> Complex:
     )
 
 
-def _cexp(a: Complex) -> Complex:
+def _cexp_parts(re: float, im: float) -> tuple[float, float]:
     try:
-        m = math.exp(a.re)
+        m = math.exp(re)
     except OverflowError:
         m = math.inf
-    if a.im == 0.0:
-        return _complex(m, 0.0)
+    if im == 0.0:
+        return m, 0.0
     try:
-        c, s = math.cos(a.im), math.sin(a.im)
+        c, s = math.cos(im), math.sin(im)
     except ValueError:  # both raise only on an infinite angle, where both are NaN
         c = s = math.nan
-    return _complex(m * c, m * s)
+    return m * c, m * s
+
+
+def _clog_parts(re: float, im: float) -> tuple[float, float]:
+    mod = math.hypot(re, im)
+    return math.log(mod) if mod > 0.0 else -math.inf, math.atan2(im, re)
+
+
+def _cpow_parts(a0: float, a1: float, b0: float, b1: float) -> tuple[float, float]:
+    """(a0 + a1 i)^(b0 + b1 i) on the principal branch, exp(b * log a), as
+    floats; `_cpow` and the complex lanes of `vm` both run this."""
+    if a0 == 0.0 and a1 == 0.0:
+        if b0 == 0.0 and b1 == 0.0:
+            return 1.0, 0.0
+        if b1 == 0.0 and b0 > 0.0:
+            return 0.0, 0.0
+        return math.nan, math.nan
+    l0, l1 = _clog_parts(a0, a1)
+    return _cexp_parts(b0 * l0 - b1 * l1, b0 * l1 + b1 * l0)  # _cmul(b, log a)
+
+
+def _cexp(a: Complex) -> Complex:
+    return _complex(*_cexp_parts(a.re, a.im))
 
 
 def _clog(a: Complex) -> Complex:
-    mod = math.hypot(a.re, a.im)
-    return _complex(math.log(mod) if mod > 0.0 else -math.inf, math.atan2(a.im, a.re))
+    return _complex(*_clog_parts(a.re, a.im))
 
 
 def _cpow(a: Complex, b: Complex) -> Complex:
-    # principal branch: a^b = exp(b * log a)
-    if a.re == 0.0 and a.im == 0.0:
-        if b.re == 0.0 and b.im == 0.0:
-            return _complex(1.0, 0.0)
-        if b.im == 0.0 and b.re > 0.0:
-            return _complex(0.0, 0.0)
-        return _complex(math.nan, math.nan)
-    return _cexp(_cmul(b, _clog(a)))
+    return _complex(*_cpow_parts(a.re, a.im, b.re, b.im))
 
 
 _COMPLEX_OPS = {
@@ -247,7 +262,8 @@ _COMPLEX_OPS = {
 # ---------------------------------------------------------------------------
 # Quaternion arithmetic.  Multiplication is the Hamilton product and is not
 # commutative; division multiplies by the right operand's inverse.
-# `vm._LANE_OPS` transcribes _qmul and _qdiv term for term: change the two together.
+# `vm._LANE_OPS` transcribes _qmul and _qdiv term for term, and lanes unroll
+# _qpow's loop for a constant exponent into the same products: change them together.
 
 def _qmul(a: Quaternion, b: Quaternion) -> Quaternion:
     return _quat(
@@ -287,8 +303,9 @@ def _qpow(a: Quaternion, b: Value) -> Quaternion:
     while n:  # square-and-multiply; associativity makes this the repeated product
         if n & 1:
             acc = _qmul(acc, base)
-        base = _qmul(base, base)
         n >>= 1
+        if n:  # the last bit needs no further square
+            base = _qmul(base, base)
     return acc
 
 

@@ -35,14 +35,18 @@ of those three).  Every value's kind is then known, and a value is 1, 2 or
 only names.  `+ - *`, negation and complex and quaternion `/` are inline,
 transcribed from the kernels in `values`.  Scalar `/`, scalar `^` and
 scalar builtins are their real kernel: the C function, and the repair where
-it raises.  The rest (complex and quaternion `^` and builtins, scans,
-CALL_DEF) boxes its operands, calls the kernel or the body's lane, and
-unpacks the result by its known kind.  `run` tries the all-`Scalar` lane
-first, with no signature lookup; it counts the runs that find no lane and,
-from the `_LANE_AFTER`-th (never at compile time), builds the run's lane.
-Vectors, `Scalar` subclasses and leaves stay laneless.  A lane has no
-error path: if it raises (a kind error, say), `run` re-runs the loop, which
-raises the exact error; with no leaves, nothing impure runs twice.
+it raises.  Complex `^` calls `values._cpow_parts` on the float locals, and
+a quaternion `^` whose exponent is a `Scalar` constant from 0 to
+`_POW_UNROLL` is `_qpow`'s square-and-multiply unrolled into inline
+Hamilton products.  The rest (other quaternion `^`, complex and quaternion
+builtins, scans, CALL_DEF) boxes its operands, calls the kernel or the
+body's lane, and unpacks the result by its known kind.  `run` tries the
+all-`Scalar` lane first, with no signature lookup; it counts the runs that
+find no lane and, from the `_LANE_AFTER`-th (never at compile time), builds
+the run's lane.  Vectors, `Scalar` subclasses and leaves stay laneless.  A
+lane has no error path: if it raises (a kind error, say), `run` re-runs the
+loop, which raises the exact error; with no leaves, nothing impure runs
+twice.
 Contract: a lane does the loop's IEEE operations in the loop's order, so
 its result is bit-identical (`float.hex` per component) to the loop's.
 Counting and building are not locked: two threads may each build a lane,
@@ -67,7 +71,7 @@ from .errors import (
     InvalidProgramError,
 )
 from .values import ArithOp, BUILTIN_NAMES, Complex, Quaternion, Scalar, Value, apply_builtin, format_value, same_value, value_binop, value_neg
-from .values import _REAL_OPS, _SCALAR_KERNELS, _complex, _ieee_div, _quat, _scalar
+from .values import _REAL_OPS, _SCALAR_KERNELS, _complex, _cpow_parts, _ieee_div, _quat, _scalar
 
 
 class Op(Enum):
@@ -231,8 +235,8 @@ def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
 
 
 # Runs of a program that find no lane before `run` builds one.  A lane took
-# 0.3-2 ms to build for the paper's golden programs and saved 13-31 us per
-# scalar run and about 19 us per `tower-calls` op, so it pays for itself after
+# 0.3-2.5 ms to build for the paper's golden programs and saved 13-31 us per
+# scalar run and 11-32 us per `tower-calls` op, so it pays for itself after
 # roughly 20-100 runs; a program run fewer times, such as a fresh definition
 # body in a script, never builds one (CHANGES.md has the measurements).
 _LANE_AFTER = 32
@@ -242,12 +246,18 @@ _LANE_AFTER = 32
 _LANE_FIELDS = {Scalar: ("x",), Complex: ("re", "im"), Quaternion: ("w", "x", "y", "z")}
 _LANE_KINDS = {len(f): t for t, f in _LANE_FIELDS.items()}  # width -> type
 
+# The largest constant exponent of a quaternion ^ that a lane unrolls; up to it
+# the unrolled code is at most 11 Hamilton products (for 63).
+_POW_UNROLL = 64
+
 # lane code per (operator, width) on the operands' components a and b, each
 # promoted to that width by padding with 0.0 as `_as_complex`/`_as_quaternion`
 # do; n is the divisor's squared norm, and for a quaternion / b is the
 # divisor's inverse.  Transcribed from _cmul, _cdiv, _qmul and _qdiv in their
 # operand order and association.  Scalar / and ^ are their `_REAL_OPS` kernel
-# pair; complex and quaternion ^ call value_binop.
+# pair, complex ^ is `_cpow_parts` itself, and quaternion ^ by a constant is
+# _qpow's loop unrolled into `_HAMILTON` products (other quaternion ^ calls
+# value_binop).
 _HAMILTON = (
     "{a[0]} * {b[0]} - {a[1]} * {b[1]} - {a[2]} * {b[2]} - {a[3]} * {b[3]}",
     "{a[0]} * {b[1]} + {a[1]} * {b[0]} + {a[2]} * {b[3]} - {a[3]} * {b[2]}",
@@ -289,6 +299,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
     ns: dict[str, object] = {
         "ieee_div": _ieee_div,
         "value_binop": value_binop,
+        "cpow": _cpow_parts,
         "apply_builtin": apply_builtin,
         "POW": ArithOp.POW,
         "box1": _scalar,
@@ -324,6 +335,11 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             lines.append(f"    except (ArithmeticError, ValueError): {t}_0 = r_{name}{call}")
         return t, 1
 
+    def inline(t: str, templates, xs: list[str], ys: list[str], n: str = "") -> tuple[str, int]:
+        """Bind t_0 .. to `_LANE_OPS`-style templates on the components xs and ys."""
+        lines.extend(f"    {t}_{j} = " + s.format(a=xs, b=ys, n=n) for j, s in enumerate(templates))
+        return t, len(templates)
+
     def box(v: tuple[str, int]) -> str:
         if v[0] not in boxed:
             lines.append(f"    {v[0]} = box{v[1]}({', '.join(comps(v))})")
@@ -343,21 +359,35 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             y = stack.pop()
             x = stack[-1]
             w = max(x[1], y[1])
-            if (a, w) not in _LANE_OPS:  # scalar / and ^, or complex and quaternion ^
-                stack[-1] = (kernel(t, a.name, _REAL_OPS[a], x, y) if w == 1
-                             else unbox(t, w, f"value_binop(POW, {box(x)}, {box(y)})"))
-                continue
             xs, ys = (comps(v) + ["0.0"] * (w - v[1]) for v in (x, y))
-            if a is ArithOp.DIV and w > 1:
-                lines.append(f"    {t}n = " + " + ".join(f"{c} * {c}" for c in ys))
-                if w == 4:
-                    inv = [f"{t}i{j}" for j in range(4)]
-                    lines += [f"    {i} = ieee_div({'-' * (j > 0)}{c}, {t}n)"
-                              for j, (i, c) in enumerate(zip(inv, ys))]
-                    ys = inv
-            lines += [f"    {t}_{j} = " + s.format(a=xs, b=ys, n=f"{t}n")
-                      for j, s in enumerate(_LANE_OPS[a, w])]
-            stack[-1] = (t, w)
+            if w == 1 and (a, w) not in _LANE_OPS:  # scalar / and ^
+                stack[-1] = kernel(t, a.name, _REAL_OPS[a], x, y)
+            elif a is not ArithOp.POW:
+                if a is ArithOp.DIV and w > 1:
+                    lines.append(f"    {t}n = " + " + ".join(f"{c} * {c}" for c in ys))
+                    if w == 4:
+                        inv = [f"{t}i{j}" for j in range(4)]
+                        lines += [f"    {i} = ieee_div({'-' * (j > 0)}{c}, {t}n)"
+                                  for j, (i, c) in enumerate(zip(inv, ys))]
+                        ys = inv
+                stack[-1] = inline(t, _LANE_OPS[a, w], xs, ys, f"{t}n")
+            elif w == 2:
+                lines.append(f"    {t}_0, {t}_1 = cpow({', '.join(xs + ys)})")
+                stack[-1] = (t, 2)
+            elif x[1] == 4 and type(c := ns.get(y[0])) is Scalar and c.x in range(_POW_UNROLL + 1):
+                # y is a constant (of the stack's names, ns binds only theirs): _qpow unrolled
+                acc, base, n, k = ("1.0", "0.0", "0.0", "0.0"), xs, int(c.x), 0
+                while n:
+                    if n & 1:
+                        acc = comps(inline(f"{t}m{k}", _HAMILTON, acc, base))
+                    n >>= 1
+                    if n:
+                        base = comps(inline(f"{t}s{k}", _HAMILTON, base, base))
+                    k += 1
+                lines.append(f"    {', '.join(comps((t, 4)))} = {', '.join(acc)}")
+                stack[-1] = (t, 4)
+            else:  # other quaternion ^: a computed or larger exponent, or one that raises
+                stack[-1] = unbox(t, w, f"value_binop(POW, {box(x)}, {box(y)})")
         elif op is _BEGIN_FRAME:
             saved.append(frame)
             frame = stack[-a:]

@@ -407,6 +407,61 @@ def test_complex_pow_principal_branch():
     assert math.isclose(got.im, want.imag, rel_tol=1e-12)
 
 
+def _cexp_reference(re: float, im: float) -> tuple[float, float]:
+    try:
+        m = math.exp(re)
+    except OverflowError:
+        m = math.inf
+    if im == 0.0:
+        return m, 0.0
+    try:
+        c, s = math.cos(im), math.sin(im)
+    except ValueError:
+        c = s = math.nan
+    return m * c, m * s
+
+
+def _clog_reference(re: float, im: float) -> tuple[float, float]:
+    mod = math.hypot(re, im)
+    return (math.log(mod) if mod > 0.0 else -math.inf), math.atan2(im, re)
+
+
+def _cpow_reference(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    """Complex pow composed as `_cexp(_cmul(b, _clog(a)))` on (re, im) pairs,
+    after the three zero-base branches."""
+    if a == (0.0, 0.0):  # -0.0 == 0.0
+        if b == (0.0, 0.0):
+            return 1.0, 0.0
+        if b[1] == 0.0 and b[0] > 0.0:
+            return 0.0, 0.0
+        return math.nan, math.nan
+    log = _clog_reference(*a)
+    return _cexp_reference(b[0] * log[0] - b[1] * log[1], b[0] * log[1] + b[1] * log[0])
+
+
+def test_complex_pow_exp_log_sqrt_equal_the_composed_reference():
+    grid = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308, 1.0, -0.5)
+    rng = random.Random(1221)
+    points = [(a, b) for a in grid for b in grid]
+    points += [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(200)]
+    points += [(rng.choice(grid), rng.uniform(-1e3, 1e3)) for _ in range(100)]
+    hexes = lambda v: (v.re.hex(), v.im.hex())
+    want = lambda a, b: tuple(x.hex() for x in _cpow_reference(a, b))
+    for a in points:
+        c = Complex(*a)
+        assert hexes(apply_builtin("exp", c)) == tuple(x.hex() for x in _cexp_reference(*a))
+        assert hexes(apply_builtin("log", c)) == tuple(x.hex() for x in _clog_reference(*a))
+        assert hexes(apply_builtin("sqrt", c)) == want(a, (0.5, 0.0))
+    exponents = rng.sample(points, 60) + [(0.0, 0.0), (2.0, 0.0), (-1.0, 0.0), (0.0, 1.0)]
+    for a in points:
+        for b in exponents:
+            assert hexes(value_binop(POW, Complex(*a), Complex(*b))) == want(a, b), (a, b)
+        # a Scalar operand x promotes to (x, 0.0)
+        for x in grid:
+            assert hexes(value_binop(POW, Complex(*a), Scalar(x))) == want(a, (x, 0.0)), (a, x)
+            assert hexes(value_binop(POW, Scalar(x), Complex(*a))) == want((x, 0.0), a), (x, a)
+
+
 def test_value_neg():
     assert value_neg(Scalar(3.0)) == Scalar(-3.0)
     assert value_neg(Vector((1.0, 2.0))) == Vector((-1.0, -2.0))

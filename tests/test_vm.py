@@ -39,6 +39,7 @@ from funcalg import (
     compile_expr,
     const_expr,
     evaluate,
+    format_value,
     lift_function,
     main,
     negate,
@@ -611,6 +612,61 @@ def test_tower_calls_programs_get_a_lane_per_signature(name):
             built.add((kind,) * n)
         assert set(p._lanes) == built and all(map(callable, p._lanes.values()))
     assert len(built) == 2 and p._lane is None
+
+
+@pytest.mark.parametrize("name", ["21", "2c"])
+@pytest.mark.parametrize("kind", [Complex, Quaternion])
+def test_tower_calls_lanes_square_without_value_binop(name, kind, monkeypatch):
+    calls = []
+
+    def counting(op, a, b):
+        calls.append(op)
+        return value_binop(op, a, b)
+
+    monkeypatch.setattr(funcalg.vm, "value_binop", counting)  # before any lane is built
+    tree, n = _tower_calls_trees()[name]
+    rng = random.Random(name)
+    args = tuple(kind(*(rng.uniform(-2, 2) for _ in funcalg.vm._LANE_FIELDS[kind])) for _ in range(n))
+    p = compile_expr(tree)
+    want = run(p, args)  # the loop's first run goes through the wrapper
+    assert ArithOp.POW in calls
+    calls.clear()
+    got = funcalg.vm._lane_of(p, (kind,) * n)(*args)  # no fall-back to the loop hides a raise
+    assert calls == []
+    assert type(got) is kind
+    assert [x.hex() for x in _components(got)] == [x.hex() for x in _components(want)]
+
+
+def test_tower_pow_lanes_match_the_loop_on_edge_exponents(monkeypatch):
+    cap = float(funcalg.vm._POW_UNROLL)
+    rng = random.Random(909)
+    grid = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, math.inf, -math.inf, math.nan, 1e308, 5e-324)
+    bases = [Scalar(a) for a in grid] + [Complex(a, b) for a in grid for b in grid]
+    bases += [Quaternion(z, z, z, z) for z in (0.0, -0.0)]
+    bases += [Quaternion(*(rng.choice(_EDGE) for _ in range(4))) for _ in range(60)]
+    bases += [Quaternion(*(rng.uniform(-2, 2) for _ in range(4))) for _ in range(20)]
+    exponents = [Scalar(e) for e in (-0.0, 0.0, 1.0, 2.0, 3.0, 5.0, cap, cap + 1, 1e300,
+                                     -1.0, 2.5, math.nan, math.inf)]
+    # at a zero base, _cpow_parts gives one (a zero exponent), zero (a positive
+    # real one) or NaN (every other)
+    exponents += [Complex(0.0, 0.0), Complex(-0.0, -0.0), Complex(2.0, 0.0), Complex(2.0, -0.0),
+                  Complex(-1.0, 0.0), Complex(0.0, 1.0), Complex(2.0, 1.0), Complex(math.nan, 0.0)]
+    u, = params(1)
+    x, y = params(2)
+    outcomes = collections.Counter()
+    at_zero = set()
+    for e in exponents:
+        # the exponent as a constant (a quaternion base may unroll it) and as
+        # an argument (a quaternion base always calls value_binop)
+        for p, cases in ((compile_expr(u ** const_expr(e)), [(b,) for b in bases]),
+                         (compile_expr(x ** y), [(b, e) for b in bases])):
+            for args, want in zip(cases, _loop_results(p, cases, monkeypatch)):
+                outcomes[_check_lane(p, args, want)] += 1
+                if args[0] == Complex(0.0, 0.0) and type(want) is Complex:
+                    at_zero.add(format_value(want))
+    assert at_zero == {"1+0i", "0+0i", "NaN+NaNi"}
+    assert min(outcomes.values()) >= 200, outcomes
+    assert set(outcomes) == {"error", "Scalar", "Complex", "Quaternion"}, outcomes
 
 
 @pytest.mark.parametrize("text, base, exponent", [
