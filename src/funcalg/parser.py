@@ -72,7 +72,7 @@ from .errors import (
     ParseError,
     UnknownIdentifierError,
 )
-from .values import ArithOp, BUILTIN_NAMES, Complex, Quaternion, Scalar, Value, Vector, format_value
+from .values import ArithOp, BUILTIN_NAMES, Complex, Quaternion, Scalar, Value, Vector, _vector, format_value
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +418,7 @@ class _Parser:
         if abs(b - a) + 1 > MAX_RANGE_LENGTH:
             raise self._err(lo_tok, f"range longer than {MAX_RANGE_LENGTH} elements")
         step = 1 if b >= a else -1
-        return Vector(tuple(float(v) for v in range(a, b + step, step)))
+        return _vector(tuple(map(float, range(a, b + step, step))))
 
     def _resolve(self, tok: Token) -> FuncExpr:
         name = tok.lexeme

@@ -62,7 +62,7 @@ class Vector(Value):
     xs: tuple[float, ...]
 
     def __post_init__(self):
-        xs = tuple(float(v) for v in self.xs)
+        xs = tuple(map(float, self.xs))
         if not xs:
             raise ValueError("a vector needs at least one element")
         object.__setattr__(self, "xs", xs)
@@ -426,7 +426,9 @@ def _total(name: str, x: float) -> float:
         return repair(x)
 
 
-_SCAN_KERNELS = ("cumsum", "cumprod")
+# scan -> (operator, its identity): starting from the identity keeps the first
+# element 0.0 + x or 1.0 * x
+_SCAN_KERNELS = {"cumsum": (ArithOp.ADD, 0.0), "cumprod": (ArithOp.MUL, 1.0)}
 
 # principal-branch complex extensions, only where the surface language needs them
 _COMPLEX_KERNELS = {
@@ -444,7 +446,7 @@ _COMPLEX_KERNELS = {
 }
 
 # kernel-table order, which seeded draws over `algebra.PRIMITIVES` depend on
-BUILTIN_ORDER = tuple(_SCALAR_KERNELS) + _SCAN_KERNELS
+BUILTIN_ORDER = tuple(_SCALAR_KERNELS) + tuple(_SCAN_KERNELS)
 BUILTIN_NAMES = frozenset(BUILTIN_ORDER)
 
 
@@ -459,9 +461,8 @@ def apply_builtin(name: str, a: Value) -> Value:
     if name in _SCAN_KERNELS:
         if not isinstance(a, Vector):
             raise UnsupportedKindError(f"{name} needs a vector")
-        # starting from the identity keeps the first element 0.0 + x or 1.0 * x
-        step, start = (operator.add, 0.0) if name == "cumsum" else (operator.mul, 1.0)
-        return _vector(tuple(accumulate(a.xs, step, initial=start))[1:])
+        op, start = _SCAN_KERNELS[name]
+        return _vector(tuple(accumulate(a.xs, _REAL_OPS[op][0], initial=start))[1:])
 
     kernel = _SCALAR_KERNELS.get(name)
     if kernel is None:

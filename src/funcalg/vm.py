@@ -27,13 +27,15 @@ per-op opcode counts of the traced `scalar-calls` and `tower-calls`
 benchmarks, counted before lanes (below) took over most of their runs.
 One `try` wraps the loop; a counter names the failing index.
 
-Lanes.  A program without CALL_LEAF whose constants are all exactly
-`Scalar`, `Complex` or `Quaternion` can also run as one generated Python
-function per argument-kind signature (its arguments' exact types, each one
-of those three).  Every value's kind is then known, and a value is 1, 2 or
-4 float locals; frames, argument loads and promotion (padding with 0.0) are
-only names.  `+ - *`, negation and complex and quaternion `/` are inline,
-transcribed from the kernels in `values`.  Scalar `/`, scalar `^` and
+Lanes.  A program without CALL_LEAF can also run as one generated Python
+function per argument-kind signature (its arguments' exact types), if the
+signature and the constants' types are all exactly `Scalar`, `Complex` or
+`Quaternion` (a tower signature) or all exactly `Scalar` or `Vector`, with
+at least one `Vector` (a vector signature).  Every value's kind is then
+known, and a value is 1, 2 or 4 float locals; frames, argument loads and
+promotion (padding with 0.0) are only names.  `+ - *`, negation and
+complex and quaternion `/` are inline, transcribed from the kernels in
+`values`.  Scalar `/`, scalar `^` and
 scalar builtins are their real kernel: the C function, and the repair where
 it raises.  Complex `^` calls `values._cpow_parts` on the float locals, and
 a quaternion `^` whose exponent is a `Scalar` constant from 0 to
@@ -43,12 +45,22 @@ builtins, scans, CALL_DEF) boxes its operands, calls the kernel or the
 body's lane, and unpacks the result by its known kind.  `run` tries the
 all-`Scalar` lane first, with no signature lookup; it counts the runs that
 find no lane and, from the `_LANE_AFTER`-th (never at compile time), builds
-the run's lane.  Vectors, `Scalar` subclasses and leaves stay laneless.  A
-lane has no error path: if it raises (a kind error, say), `run` re-runs the
-loop, which raises the exact error; with no leaves, nothing impure runs
-twice.
-Contract: a lane does the loop's IEEE operations in the loop's order, so
-its result is bit-identical (`float.hex` per component) to the loop's.
+the run's lane.  `Scalar` subclasses and leaves stay laneless.
+A vector signature's lane is one `for` loop over the elements (a
+`zip(..., strict=True)` of every vector argument and constant if there are
+several) in which each element runs the width-1 code above, with `/`
+inline as well; a scan is a running local started at its identity, and an
+instruction whose operands do not vary per element runs once, before the
+loop.  The loop reads kernels and constants as locals (keyword-only
+defaults), and no tuple is built per operator.  A vector program that has
+a CALL_DEF or a polymorphic frame, scans a scalar, or returns a value that
+does not vary per element keeps the loop.  A lane has no error path: if
+it raises (a kind error, or vectors of different lengths, say), `run`
+re-runs the loop, which raises the exact error (or answers, where those
+vectors never meet); with no leaves, nothing impure runs twice.
+Contract: a lane does the loop's IEEE operations in the loop's order
+(for each element, in a vector lane), so its result is bit-identical
+(`float.hex` per component) to the loop's.
 Counting and building are not locked: two threads may each build a lane,
 and either one is correct.
 """
@@ -70,8 +82,8 @@ from .errors import (
     FuncalgError,
     InvalidProgramError,
 )
-from .values import ArithOp, BUILTIN_NAMES, Complex, Quaternion, Scalar, Value, apply_builtin, format_value, same_value, value_binop, value_neg
-from .values import _REAL_OPS, _SCALAR_KERNELS, _complex, _cpow_parts, _ieee_div, _quat, _scalar
+from .values import ArithOp, BUILTIN_NAMES, Complex, Quaternion, Scalar, Value, Vector, apply_builtin, format_value, same_value, value_binop, value_neg
+from .values import _REAL_OPS, _SCALAR_KERNELS, _SCAN_KERNELS, _complex, _cpow_parts, _ieee_div, _quat, _scalar, _vector
 
 
 class Op(Enum):
@@ -238,13 +250,22 @@ def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
 # 0.3-2.5 ms to build for the paper's golden programs and saved 13-31 us per
 # scalar run and 11-32 us per `tower-calls` op, so it pays for itself after
 # roughly 20-100 runs; a program run fewer times, such as a fresh definition
-# body in a script, never builds one (CHANGES.md has the measurements).
+# body in a script, never builds one (CHANGES.md has the measurements).  A
+# vector lane of a `wide-vectors` program took 0.4-0.8 ms to build and saved
+# 0.5-2.9 ms per run on 1e4 elements and 7-26 ms on 1e5, so it would pay
+# for itself at once; it waits for the same count.
 _LANE_AFTER = 32
+
+# writes a frozen Program's lane state; bound once, since `run` counts with it.
+# (Writing to `p.__dict__` is cheaper, but it makes CPython build the instance
+# dict, after which every attribute read of p is slower.)
+_setattr = object.__setattr__
 
 # The value types a lane holds unboxed, and their fields: a value of width w
 # (its number of fields) is held as w float locals.
 _LANE_FIELDS = {Scalar: ("x",), Complex: ("re", "im"), Quaternion: ("w", "x", "y", "z")}
 _LANE_KINDS = {len(f): t for t, f in _LANE_FIELDS.items()}  # width -> type
+_LANE_WIDTHS = {t: len(f) for t, f in _LANE_FIELDS.items()} | {Vector: 1}  # a float per element
 
 # The largest constant exponent of a quaternion ^ that a lane unrolls; up to it
 # the unrolled code is at most 11 Hamilton products (for 63).
@@ -283,9 +304,9 @@ def _lane_of(p: Program, sig: tuple[type, ...]):
     lane = p._lanes.get(sig)
     if lane is None:
         lane = _build_lane(p, sig)
-        object.__setattr__(p, "_lanes", {**p._lanes, sig: lane})
+        _setattr(p, "_lanes", {**p._lanes, sig: lane})
         if all(t is Scalar for t in sig):
-            object.__setattr__(p, "_lane", lane)
+            _setattr(p, "_lane", lane)
     return lane
 
 
@@ -293,8 +314,13 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
     """Generate p's lane for argument types `sig`: a function of the boxed
     arguments that returns the boxed result.  A value is a name x and a
     width w, held as the locals x_0 .. x_{w-1}; x itself is bound to the
-    boxed value where there is one."""
-    if p.leaves or not all(t in _LANE_FIELDS for t in sig + tuple(map(type, p.constants))):
+    boxed value where there is one.  In a vector signature (only Scalars and
+    Vectors, at least one Vector), x_0 is a value's current element where
+    it varies per element, and the code that computes such values is one
+    loop over the elements."""
+    kinds = sig + tuple(map(type, p.constants))
+    vector = p.arity.is_fixed and Vector in kinds and all(t is Scalar or t is Vector for t in kinds)
+    if p.leaves or not (vector or all(t in _LANE_FIELDS for t in kinds)):
         return False
     ns: dict[str, object] = {
         "ieee_div": _ieee_div,
@@ -305,14 +331,21 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         "box1": _scalar,
         "box2": _complex,
         "box4": _quat,
+        "boxv": _vector,
     }
+    helpers = len(ns)
     for k, c in enumerate(p.constants):
         ns[f"c{k}"] = c
-        for j, f in enumerate(_LANE_FIELDS[type(c)]):
+        for j, f in enumerate(_LANE_FIELDS.get(type(c), ())):
             ns[f"c{k}_{j}"] = getattr(c, f)  # a float, not its repr: inf, nan and -0.0 survive
     comps = lambda v: [f"{v[0]}_{j}" for j in range(v[1])]
-    lines: list[str] = []
+    lines = pre = []  # the code to emit to: pre, or a vector lane's loop
+    loop: list[str] = []
     boxed = set(ns)  # names bound to boxed values (and others): the constants c<k>
+    # the vectors a vector lane loops over, and the names of the values that vary per element
+    sources = [f"a{i}" for i, t in enumerate(sig) if t is Vector]
+    sources += [f"c{k}" for k, c in enumerate(p.constants) if type(c) is Vector]
+    varying = set(sources)
 
     def unbox(x: str, w: int, expr: str | None = None) -> tuple[str, int]:
         """Bind x to expr's boxed value of width w (if given), then read its fields."""
@@ -323,15 +356,17 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         boxed.add(x)
         return x, w
 
-    def kernel(t: str, name: str, pair, *xs: tuple[str, int]) -> tuple[str, int]:
+    def kernel(t: str, name: str, pair, *xs: tuple[str, int], raw: str = "") -> tuple[str, int]:
         """Bind t_0 to a real kernel pair (C function, repair or None) on the
-        scalars xs: the C function, and the repair where it raises."""
+        scalars xs: the C function (or the same operation written `raw`), and
+        the repair where it raises."""
         ns[f"k_{name}"], ns[f"r_{name}"] = pair
         call = f"({', '.join(x + '_0' for x, _ in xs)})"
+        raw = raw or f"k_{name}{call}"
         if pair[1] is None:
-            lines.append(f"    {t}_0 = k_{name}{call}")
+            lines.append(f"    {t}_0 = {raw}")
         else:
-            lines.append(f"    try: {t}_0 = k_{name}{call}")
+            lines.append(f"    try: {t}_0 = {raw}")
             lines.append(f"    except (ArithmeticError, ValueError): {t}_0 = r_{name}{call}")
         return t, 1
 
@@ -347,12 +382,19 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         return v[0]
 
     # a polymorphic frame (None) only passes its arguments on
-    frame = [unbox(f"a{i}", len(_LANE_FIELDS[t])) for i, t in enumerate(sig)] if p.arity.n else None
+    frame = [(f"a{i}", 1) if t is Vector else unbox(f"a{i}", _LANE_WIDTHS[t])
+             for i, t in enumerate(sig)] if p.arity.n else None
     head = ", ".join(x for x, _ in frame) if frame else "*args"
     stack: list[tuple[str, int]] = []
     saved: list = []
     for ip, (op, a) in enumerate(p.instructions):
         t = f"t{ip}"
+        if op is _BINARY or op is _CALL_PRIM or op is _NEGATE:
+            # emitted once before the loop, unless an operand varies per element
+            operands = stack[-2:] if op is _BINARY else stack[-1:]
+            lines = loop if any(x in varying for x, _ in operands) else pre
+            if lines is loop:
+                varying.add(t)
         if op is _LOAD_ARG:
             stack.append(frame[a])
         elif op is _BINARY:
@@ -360,8 +402,9 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             x = stack[-1]
             w = max(x[1], y[1])
             xs, ys = (comps(v) + ["0.0"] * (w - v[1]) for v in (x, y))
-            if w == 1 and (a, w) not in _LANE_OPS:  # scalar / and ^
-                stack[-1] = kernel(t, a.name, _REAL_OPS[a], x, y)
+            if w == 1 and (a, w) not in _LANE_OPS:  # scalar / and ^; a vector lane's / is inline
+                raw = f"{x[0]}_0 / {y[0]}_0" if vector and a is ArithOp.DIV else ""
+                stack[-1] = kernel(t, a.name, _REAL_OPS[a], x, y, raw=raw)
             elif a is not ArithOp.POW:
                 if a is ArithOp.DIV and w > 1:
                     lines.append(f"    {t}n = " + " + ".join(f"{c} * {c}" for c in ys))
@@ -395,16 +438,22 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         elif op is _END_FRAME:
             frame = saved.pop()
         elif op is _LOAD_CONST:
-            stack.append((f"c{a}", len(_LANE_FIELDS[type(p.constants[a])])))
+            stack.append((f"c{a}", _LANE_WIDTHS[type(p.constants[a])]))
         elif op is _CALL_PRIM:
             w = stack[-1][1]
             if w == 1 and a in _SCALAR_KERNELS:
                 stack[-1] = kernel(t, a, _SCALAR_KERNELS[a], stack[-1])
+            elif vector:  # a scan: a running local, from the identity, as `accumulate`
+                if lines is pre:
+                    return False  # of a scalar, which raises
+                step, start = _SCAN_KERNELS[a]
+                pre.append(f"    {t}_0 = {start!r}")
+                stack[-1] = inline(t, _LANE_OPS[step, 1], [f"{t}_0"], comps(stack[-1]))
             else:  # complex and quaternion kernels (abs gives a scalar); a scan raises
                 stack[-1] = unbox(t, 1 if w == 4 else w, f"apply_builtin({a!r}, {box(stack[-1])})")
         elif op is _CALL_DEF:
-            callee = _lane_of(a, sig if frame is None else tuple(_LANE_KINDS[w] for _, w in frame))
-            if not callee:
+            callee = not vector and _lane_of(a, sig if frame is None else tuple(_LANE_KINDS[w] for _, w in frame))
+            if not (callee and callee.width):  # a vector lane's result has no width
                 return False
             ns[f"d{ip}"] = callee
             args = "*args" if frame is None else ", ".join(map(box, frame))
@@ -412,10 +461,20 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         else:  # NEGATE; a program without leaves has no CALL_LEAF
             lines += [f"    {t}_{j} = -{c}" for j, c in enumerate(comps(stack[-1]))]
             stack[-1] = (t, stack[-1][1])
-    lines.append(f"    return {box(stack[0])}")
-    exec(f"def lane({head}):\n" + "\n".join(lines), ns)
+    if not vector:
+        pre.append(f"    return {box(stack[0])}")
+    elif stack[0][0] not in varying:
+        return False
+    else:
+        # the loop reads kernels and constants as locals: keyword-only defaults
+        local = ", ".join(f"{n}={n}" for n in list(ns)[helpers:])
+        head += f", *, {local}" if local else ""
+        over = f"{sources[0]}.xs" if len(sources) == 1 else f"zip({', '.join(s + '.xs' for s in sources)}, strict=True)"
+        pre += ["    out = []", "    push = out.append", f"    for {', '.join(s + '_0' for s in sources)} in {over}:"]
+        pre += ["    " + s for s in loop] + [f"        push({stack[0][0]}_0)", "    return boxv(tuple(out))"]
+    exec(f"def lane({head}):\n" + "\n".join(pre), ns)
     lane = ns["lane"]
-    lane.width = stack[0][1]  # the result's, for the lanes that call this one
+    lane.width = None if vector else stack[0][1]  # the result's, for the lanes that call this one
     return lane
 
 
@@ -436,7 +495,7 @@ def run(p: Program, args: Sequence[Value]) -> Value:
         lane = p._lane
     if lane is None:
         runs = p._runs + 1
-        object.__setattr__(p, "_runs", runs)
+        _setattr(p, "_runs", runs)
         if runs >= _LANE_AFTER:
             lane = _lane_of(p, tuple(map(type, argtuple)))
     if lane:

@@ -23,6 +23,7 @@ from funcalg import (
     Instr,
     InvalidProgramError,
     KindMismatchError,
+    LengthMismatchError,
     Op,
     PRIMITIVES,
     Program,
@@ -341,8 +342,8 @@ def test_constant_definition_keeps_declared_arity():
 
 # ---------------------------------------------------------------------------
 # Lanes: once a program has run `_LANE_AFTER` times, `run` calls the generated
-# function for its argument types (Scalar, Complex and Quaternion) instead of
-# the loop.
+# function for its argument types (Scalar, Complex and Quaternion, or Scalar
+# and Vector) instead of the loop.
 
 _EDGE = (
     0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308,
@@ -421,6 +422,9 @@ def _check_lane(p, args, want):
         got = lane(*args)
     except Exception as err:
         got = err
+    if isinstance(got, ValueError) and str(got).startswith("zip()") and not isinstance(want, FuncalgError):
+        # vectors of different lengths that never meet: the loop re-runs and answers
+        got = run(p, args)
     if isinstance(want, FuncalgError):
         assert isinstance(got, Exception)
         with pytest.raises(type(want)) as info:
@@ -435,6 +439,8 @@ def _check_lane(p, args, want):
 
 
 def _components(v):
+    if type(v) is Vector:
+        return list(v.xs)
     return [getattr(v, f) for f in funcalg.vm._LANE_FIELDS[type(v)]]
 
 
@@ -499,6 +505,57 @@ def test_tower_lane_matches_the_loop_bit_for_bit(monkeypatch):
     assert set(outcomes) == {"error", "Scalar", "Complex", "Quaternion"}, outcomes
 
 
+def _edge_vector(rng, length):
+    return Vector(tuple(rng.choice(_EDGE) for _ in range(length)))
+
+
+def _gen_vector_lane_tree(rng, n, depth, consts):
+    """A tree of arity n over Scalar and Vector values: parameters, Scalar
+    constants from the edge grid, the Vector constants `consts`, every
+    builtin (scans included), arithmetic, negation, composition, and
+    1/(1-t), which divides by zero where t is 1."""
+    r = rng.random()
+    if depth <= 0 or r < 0.2:
+        r = rng.random()
+        if r < 0.2:
+            return const_expr(Scalar(rng.choice(_EDGE)))
+        if r < 0.3:
+            return const_expr(rng.choice(consts))
+        if r < 0.55 and n == 1:
+            return builtin(rng.choice(PRIMITIVES))
+        return rng.choice(params(n))
+    sub = lambda m: _gen_vector_lane_tree(rng, m, depth - 1, consts)
+    if r < 0.5:
+        return combine(rng.choice(list(ArithOp)), sub(n), sub(n))
+    if r < 0.6:
+        return 1 / (1 - sub(n))
+    if r < 0.7:
+        return negate(sub(n))
+    m = rng.randint(1, 3)
+    return apply_expr(sub(m), [sub(n) for _ in range(m)])
+
+
+def test_vector_lane_matches_the_loop_bit_for_bit(monkeypatch):
+    rng = random.Random(707)
+    outcomes = collections.Counter()
+    for _ in range(1500):
+        n = rng.randint(1, 3)
+        length = rng.randint(1, 4)
+        # one vector constant of another length: where it meets a vector argument, both paths raise
+        consts = (_edge_vector(rng, length), _edge_vector(rng, length), _edge_vector(rng, length + 1))
+        p = compile_expr(_gen_vector_lane_tree(rng, n, rng.randint(1, 5), consts))
+        cases = [tuple(_edge_vector(rng, length) if rng.random() < 0.7 else Scalar(rng.choice(_EDGE))
+                       for _ in range(n)) for _ in range(4)]
+        for args, want in zip(cases, _loop_results(p, cases, monkeypatch)):
+            if funcalg.vm._lane_of(p, tuple(map(type, args))):
+                outcomes[_check_lane(p, args, want)] += 1
+            else:  # a scan of a scalar, or a result that does not vary per element
+                outcomes["laneless"] += 1
+    # the corpus reaches vector results, length errors and programs that stay on the loop
+    assert outcomes["Vector"] >= 1500 and min(outcomes.values()) >= 200, outcomes
+    assert set(outcomes) == {"error", "Scalar", "Vector", "laneless"}, outcomes
+
+
 class _SubScalar(Scalar):
     pass
 
@@ -525,7 +582,7 @@ def _run_past_threshold(tree, args):
     ],
     ids=["complex", "quaternion", "vector", "scalar-subclass"],
 )
-def test_tower_runs_get_a_lane_vector_and_subclass_runs_do_not(args, lane):
+def test_tower_runs_get_a_lane_subclass_runs_and_vector_runs_calling_a_definition_do_not(args, lane):
     x, y = params(2)
     p = _run_past_threshold(x + x * y - Def("d", Arity(2), x / y), args)
     sig = tuple(map(type, args))
@@ -539,14 +596,20 @@ def test_a_program_with_a_complex_constant_gets_a_lane():
     assert callable(p._lane) and p._lanes == {(Scalar,): p._lane}
 
 
+def test_a_program_with_a_vector_constant_gets_a_lane():
+    p = _run_past_threshold(params(1)[0] * const_expr(Vector((1.0, 2.0))), (Scalar(0.75),))
+    assert callable(p._lane) and p._lanes == {(Scalar,): p._lane}
+
+
 @pytest.mark.parametrize(
     "tree",
     [
         params(1)[0] + _LEAF,
-        params(1)[0] * const_expr(Vector((1.0, 2.0))),
         params(1)[0] - Def("uses_leaf", Arity(1), _LEAF * params(1)[0]),
+        # the body gets a vector lane, whose Vector result a scalar lane cannot hold
+        params(1)[0] + Def("scales", Arity(1), params(1)[0] * const_expr(Vector((1.0, 2.0)))),
     ],
-    ids=["leaf", "vector-constant", "definition-with-leaf"],
+    ids=["leaf", "definition-with-leaf", "definition-with-vector-constant"],
 )
 def test_programs_with_leaves_or_non_scalar_constants_stay_laneless(tree):
     p = _run_past_threshold(tree, (Scalar(0.75),))
@@ -687,3 +750,50 @@ def test_negative_base_to_a_non_integer_power_is_nan_where_it_overflows(text, ba
     assert math.isnan(xs[0]) and xs[1] == 4.0**exponent
     assert main(["-e", text]) == 0
     assert capsys.readouterr().out == "NaN\n"
+
+
+def _wide_vectors_trees():
+    """The `wide-vectors` benchmark programs: golden 2a and 2b, and Sin/Cumsum."""
+    x, = params(1)
+    f, g = x**2, 1 / (1 - x)
+    return {"2a": f + g, "2b": f + 4 * g - f * g, "sin-cumsum": builtin("cumsum")(builtin("sin") + f)}
+
+
+@pytest.mark.parametrize("name", ["2a", "2b", "sin-cumsum"])
+def test_wide_vectors_programs_take_a_lane_without_kernel_calls(name, monkeypatch):
+    calls = []
+
+    def counting(kernel):
+        return lambda *a: calls.append(a[0]) or kernel(*a)
+
+    # before any lane is built, so a lane that called either would call the wrapper
+    monkeypatch.setattr(funcalg.vm, "value_binop", counting(value_binop))
+    monkeypatch.setattr(funcalg.vm, "apply_builtin", counting(funcalg.vm.apply_builtin))
+    tree = _wide_vectors_trees()[name]
+    args = (Vector(tuple(map(float, range(-5, 95)))),)  # a 1:N-style range through x = 1
+    want = evaluate(tree, args)
+    p = compile_expr(tree)
+    for runs in range(1, funcalg.vm._LANE_AFTER + 1):
+        calls.clear()
+        got = run(p, args)
+        assert callable(p._lanes.get((Vector,))) == (runs >= funcalg.vm._LANE_AFTER)
+    assert calls == []  # the last run built the lane and returned from it
+    # called directly, no fall-back to the loop hides a raise
+    for value in (got, p._lanes[(Vector,)](*args)):
+        assert type(value) is Vector
+        assert [x.hex() for x in value.xs] == [x.hex() for x in want.xs]
+    assert calls == []
+
+
+def test_vector_lane_re_raises_the_loops_length_mismatch():
+    x, y = params(2)
+    p = compile_expr(x * y + 1 / (1 - x))
+    short = (Vector((1.0, 2.0, 3.0)), Vector((4.0, 5.0)))
+    for _ in range(funcalg.vm._LANE_AFTER + 2):
+        with pytest.raises(LengthMismatchError, match=r"^instruction 2: vector lengths differ: 3 vs 2$"):
+            run(p, short)
+    lane = p._lanes[(Vector, Vector)]
+    with pytest.raises(ValueError):
+        lane(*short)
+    equal = (Vector((1.0, 2.0, 3.0)), Vector((4.0, 5.0, 6.0)))
+    assert lane(*equal) == run(p, equal) == evaluate(x * y + 1 / (1 - x), equal)
