@@ -582,7 +582,7 @@ def _run_past_threshold(tree, args):
     ],
     ids=["complex", "quaternion", "vector", "scalar-subclass"],
 )
-def test_tower_runs_get_a_lane_subclass_runs_and_vector_runs_calling_a_definition_do_not(args, lane):
+def test_tower_runs_get_a_lane_vector_and_subclass_runs_do_not(args, lane):
     x, y = params(2)
     p = _run_past_threshold(x + x * y - Def("d", Arity(2), x / y), args)
     sig = tuple(map(type, args))
