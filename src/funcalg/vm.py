@@ -12,12 +12,16 @@ Instruction set (operand stack before -> after; F is the current frame):
     BEGIN_FRAME m     [a1 .. am]    -> []   pushes frame with args (a1 .. am)
     END_FRAME         []            -> []   pops the current frame
 
-Compilation is a direct post-order flattening with no constant folding or
-CSE, so a program performs the same IEEE operations in the same order as
-the tree walker.  A composition node compiles to its argument
-sub-programs followed by BEGIN_FRAME, the callee code, and END_FRAME;
-frames live on their own stack, so composition depth is unbounded.  A
-definition's body is compiled once, and each reference runs it on F.
+Compilation is one post-order loop over a work stack, with no constant
+folding or CSE, so a program does the tree walker's IEEE operations in its
+order: a node pushes its instruction, then its children, last child first.
+A composition node compiles to its arguments, BEGIN_FRAME, the callee and
+END_FRAME.  Instructions with a small index or arity, an operator or a
+builtin name as payload are built once, at import.  Compiling a tree and
+running its frames cost no Python frame per level, so composition depth is
+unbounded there; compiling a definition's body, nested CALL_DEFs and the
+tree walker recurse.  A definition's body is compiled once, and each
+reference runs it on F.
 Programs are immutable, apart from their scalar-lane state (below), and
 re-entrant: concurrent runs are safe.
 
@@ -47,7 +51,7 @@ all-`Scalar` lane first, with no signature lookup; it counts the runs that
 find no lane and, from the `_LANE_AFTER`-th (never at compile time), builds
 the run's lane.  `Scalar` subclasses and leaves stay laneless.
 A vector signature's lane is one `for` loop over the elements (a
-`zip(..., strict=True)` of every vector argument and constant if there are
+`zip(..., strict=True)` of the loaded vector arguments and constants, if
 several) in which each element runs the width-1 code above, with `/`
 inline as well; a scan is a running local started at its identity, and an
 instruction whose operands do not vary per element runs once, before the
@@ -198,49 +202,55 @@ class Program:
 
 _body_programs: weakref.WeakKeyDictionary[Def, Program] = weakref.WeakKeyDictionary()
 
+# Instructions whose payload is an index or arity below _INTERNED, an operator
+# or a builtin name, built once: building an Instr costs ten bare tuples.
+_INTERNED = 256
+_LOAD_ARGS, _LOAD_CONSTS, _BEGIN_FRAMES = (tuple(Instr(op, i) for i in range(_INTERNED))
+                                           for op in (_LOAD_ARG, _LOAD_CONST, _BEGIN_FRAME))
+_BINARIES = {op: Instr(_BINARY, op) for op in ArithOp}
+_PRIM_CODE = {name: (_LOAD_ARGS[0], Instr(_CALL_PRIM, name)) for name in BUILTIN_NAMES}
+_NEGATE_INSTR, _END_FRAME_INSTR = Instr(_NEGATE), Instr(_END_FRAME)
+
 
 def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
     """Flatten a tree post-order into a validated Program of `arity`
     (by default the tree's own)."""
-    code: list[Instr] = []
-    constants: list[Value] = []
-    leaves: list[Leaf] = []
-
-    def emit(node: FuncExpr) -> None:
-        match node:
-            case Arg():
-                code.append(Instr(_LOAD_ARG, node.i))
-            case Const():
-                code.append(Instr(_LOAD_CONST, len(constants)))
-                constants.append(node.v)
-            case Prim():
-                code.append(Instr(_LOAD_ARG, 0))
-                code.append(Instr(_CALL_PRIM, node.name))
-            case BinOp():
-                emit(node.e1)
-                emit(node.e2)
-                code.append(Instr(_BINARY, node.op))
-            case Neg():
-                emit(node.e)
-                code.append(Instr(_NEGATE))
-            case Apply():
-                for a in node.args:
-                    emit(a)
-                code.append(Instr(_BEGIN_FRAME, len(node.args)))
-                emit(node.callee)
-                code.append(Instr(_END_FRAME))
-            case Def():
-                body = _body_programs.get(node)
-                if body is None:
-                    body = _body_programs[node] = compile_expr(node.body, node.arity)
-                code.append(Instr(_CALL_DEF, body))
-            case Leaf():
-                code.append(Instr(_CALL_LEAF, len(leaves)))
-                leaves.append(node)
-            case _:
-                raise TypeError(f"not a function expression: {node!r}")
-
-    emit(e)
+    code, constants, leaves = [], [], []
+    work = [e]  # nodes to compile, and instructions to emit, last first
+    push, pop, emit = work.append, work.pop, code.append
+    while work:
+        n = pop()
+        t = type(n)
+        if t is Instr:
+            emit(n)
+        elif t is BinOp:
+            push(_BINARIES[n.op])
+            push(n.e2)
+            push(n.e1)
+        elif t is Arg:
+            emit(_LOAD_ARGS[n.i] if n.i < _INTERNED else Instr(_LOAD_ARG, n.i))
+        elif t is Const:
+            emit(_LOAD_CONSTS[k] if (k := len(constants)) < _INTERNED else Instr(_LOAD_CONST, k))
+            constants.append(n.v)
+        elif t is Apply:
+            push(_END_FRAME_INSTR)
+            push(n.callee)
+            push(_BEGIN_FRAMES[m] if (m := len(n.args)) < _INTERNED else Instr(_BEGIN_FRAME, m))
+            work += reversed(n.args)
+        elif t is Prim:
+            code += _PRIM_CODE[n.name]
+        elif t is Neg:
+            push(_NEGATE_INSTR)
+            push(n.e)
+        elif t is Def:
+            if (body := _body_programs.get(n)) is None:
+                body = _body_programs[n] = compile_expr(n.body, n.arity)
+            emit(Instr(_CALL_DEF, body))
+        elif t is Leaf:
+            emit(Instr(_CALL_LEAF, len(leaves)))
+            leaves.append(n)
+        else:
+            raise TypeError(f"not a function expression: {n!r}")
     program = Program(tuple(code), tuple(constants), tuple(leaves), arity or e.arity)
     program.validate()
     return program
@@ -346,6 +356,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
     sources = [f"a{i}" for i, t in enumerate(sig) if t is Vector]
     sources += [f"c{k}" for k, c in enumerate(p.constants) if type(c) is Vector]
     varying = set(sources)
+    unread = {f"a{i}" for i in range(len(sig))}  # arguments no LOAD_ARG pushes: not zipped
 
     def unbox(x: str, w: int, expr: str | None = None) -> tuple[str, int]:
         """Bind x to expr's boxed value of width w (if given), then read its fields."""
@@ -397,6 +408,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
                 varying.add(t)
         if op is _LOAD_ARG:
             stack.append(frame[a])
+            unread.discard(frame[a][0])
         elif op is _BINARY:
             y = stack.pop()
             x = stack[-1]
@@ -469,6 +481,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         # the loop reads kernels and constants as locals: keyword-only defaults
         local = ", ".join(f"{n}={n}" for n in list(ns)[helpers:])
         head += f", *, {local}" if local else ""
+        sources = [s for s in sources if s not in unread]  # an unread one may have another length
         over = f"{sources[0]}.xs" if len(sources) == 1 else f"zip({', '.join(s + '.xs' for s in sources)}, strict=True)"
         pre += ["    out = []", "    push = out.append", f"    for {', '.join(s + '_0' for s in sources)} in {over}:"]
         pre += ["    " + s for s in loop] + [f"        push({stack[0][0]}_0)", "    return boxv(tuple(out))"]

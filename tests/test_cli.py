@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from funcalg import Session, SessionConfig, eval_once, main, run_repl, run_script
+from funcalg import FuncalgError, Session, SessionConfig, eval_once, main, run_repl, run_script
 
 
 def _config(**kw):
@@ -280,6 +280,19 @@ def test_repl_survives_deep_nesting(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "2\n"
     assert "nested too deeply" in captured.err
+
+
+@pytest.mark.parametrize("backend", ["tree", "vm", "check"])
+def test_a_long_definition_chain_is_an_error_and_the_session_survives(backend):
+    out = io.StringIO()
+    session = Session(_config(backend=backend), out=out)
+    session.execute_line("f0(x) = x + 1")
+    for i in range(1, 3000):
+        session.execute_line(f"f{i}(x) = f{i - 1}(x) + 1")
+    with pytest.raises(FuncalgError):
+        session.execute_line("f2999(0)")
+    session.execute_line("1 + 1")
+    assert out.getvalue() == "2\n"
 
 
 def _fail_once(monkeypatch, exc):

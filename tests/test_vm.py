@@ -5,11 +5,13 @@ import io
 import json
 import math
 import random
+import sys
 
 import pytest
 
 import funcalg.algebra
 import funcalg.vm
+from funcalg.algebra import Apply, BinOp, Const, Leaf, Neg, Prim
 from funcalg import (
     Arg,
     ArithOp,
@@ -111,6 +113,94 @@ def test_compile_is_deterministic():
     x, y = params(2)
     tree = (x + y * 2)(builtin("sin"), builtin("cos"))
     assert compile_expr(tree) == compile_expr(tree)
+
+
+def _reference_compile(e, arity=None):
+    """The recursive post-order emitter that `compile_expr`'s work-stack loop
+    replaced: one `match` case per node class, a fresh Instr per instruction."""
+    code, constants, leaves = [], [], []
+
+    def emit(node):
+        match node:
+            case Arg():
+                code.append(Instr(Op.LOAD_ARG, node.i))
+            case Const():
+                code.append(Instr(Op.LOAD_CONST, len(constants)))
+                constants.append(node.v)
+            case Prim():
+                code.append(Instr(Op.LOAD_ARG, 0))
+                code.append(Instr(Op.CALL_PRIM, node.name))
+            case BinOp():
+                emit(node.e1)
+                emit(node.e2)
+                code.append(Instr(Op.BINARY, node.op))
+            case Neg():
+                emit(node.e)
+                code.append(Instr(Op.NEGATE))
+            case Apply():
+                for a in node.args:
+                    emit(a)
+                code.append(Instr(Op.BEGIN_FRAME, len(node.args)))
+                emit(node.callee)
+                code.append(Instr(Op.END_FRAME))
+            case Def():
+                code.append(Instr(Op.CALL_DEF, _reference_compile(node.body, node.arity)))
+            case Leaf():
+                code.append(Instr(Op.CALL_LEAF, len(leaves)))
+                leaves.append(node)
+
+    emit(e)
+    return Program(tuple(code), tuple(constants), tuple(leaves), arity or e.arity)
+
+
+def _assert_compiles_as_reference(tree):
+    got, want = compile_expr(tree), _reference_compile(tree)
+    assert got == want
+    for p in _programs(got):
+        assert all(type(ins) is Instr for ins in p.instructions)
+
+
+def test_compile_matches_the_recursive_reference_on_generated_trees():
+    rng = random.Random(1414)
+    wrap = lift_function("wrap", 1, lambda v: v)
+    for k in range(3000):
+        n = rng.randint(1, 3)
+        if k % 2:
+            tree = treegen.gen_tree(rng, n, rng.randint(0, 6), vec_len=2)
+        else:
+            tree = treegen.gen_tower_tree(rng, n, rng.randint(0, 6))
+        if k % 3 == 1:
+            tree = Def(f"w{k}", Arity(n), tree) + tree
+        elif k % 3 == 2:
+            tree = apply_expr(wrap, [tree])
+        _assert_compiles_as_reference(tree)
+
+
+@pytest.mark.parametrize("name", ["2c", "2d", "3a", "3b", "chain200"])
+def test_compile_matches_the_recursive_reference_on_scalar_calls(name):
+    _assert_compiles_as_reference(_scalar_calls_trees()[name][0])
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_compiling_a_composition_chain_does_not_recurse_per_level():
+    x, = params(1)
+    chain = x
+    for _ in range(300):
+        chain = apply_expr(x + 1, [chain])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        p = compile_expr(chain)
+        got = run(p, (Scalar(0.5),))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == Scalar(300.5)
 
 
 def test_validate_rejects_corrupted_programs():
@@ -797,3 +887,13 @@ def test_vector_lane_re_raises_the_loops_length_mismatch():
         lane(*short)
     equal = (Vector((1.0, 2.0, 3.0)), Vector((4.0, 5.0, 6.0)))
     assert lane(*equal) == run(p, equal) == evaluate(x * y + 1 / (1 - x), equal)
+
+
+def test_vector_lane_zips_only_the_vectors_it_loads(monkeypatch):
+    x, y = params(2)
+    p = compile_expr(x * 2.0 + 1.0)
+    args = (Vector(tuple(map(float, range(-5000, 5000)))), Vector((1.0, 2.0)))
+    want, = _loop_results(p, [args], monkeypatch)
+    got = funcalg.vm._lane_of(p, (Vector, Vector))(*args)  # y, of another length, is never read
+    assert type(got) is type(want) is Vector
+    assert [v.hex() for v in got.xs] == [v.hex() for v in want.xs]
