@@ -181,30 +181,73 @@ def _map_ieee(raw, repair, *cols) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Complex arithmetic, built on the real helpers so that zero denominators
-# produce Inf/NaN components instead of raising.  `vm._LANE_OPS` transcribes
-# _cmul and _cdiv term for term: change the two together.  Lanes call
-# _cpow_parts itself, so complex ^ has one implementation.
+# Complex and quaternion + - * /, written once.  `_TOWER_OPS` holds each
+# component formula as a template, and `_tower_code` turns it into Python
+# statements: the kernels below are generated from them at import, and the
+# lanes of `vm` inline the same statements on float locals, so both do the
+# same IEEE operations in the same order.
 
-def _cadd(a: Complex, b: Complex) -> Complex:
-    return _complex(a.re + b.re, a.im + b.im)
+# The value types held as float fields, and their fields: a value of width w
+# (its number of fields) is w floats.
+_FIELDS = {Scalar: ("x",), Complex: ("re", "im"), Quaternion: ("w", "x", "y", "z")}
+
+# The Hamilton product, which is not commutative.
+_HAMILTON = (
+    "{a[0]} * {b[0]} - {a[1]} * {b[1]} - {a[2]} * {b[2]} - {a[3]} * {b[3]}",
+    "{a[0]} * {b[1]} + {a[1]} * {b[0]} + {a[2]} * {b[3]} - {a[3]} * {b[2]}",
+    "{a[0]} * {b[2]} - {a[1]} * {b[3]} + {a[2]} * {b[0]} + {a[3]} * {b[1]}",
+    "{a[0]} * {b[3]} + {a[1]} * {b[2]} - {a[2]} * {b[1]} + {a[3]} * {b[0]}",
+)
+
+# component templates per (operator, width) on the operands' components a
+# and b, each of that width (promotion pads with 0.0); n is the divisor's
+# squared norm, and for a quaternion / b is the divisor's inverse.  Real /
+# and ^ are `_REAL_OPS` kernels, and complex and quaternion ^ are below.
+_TOWER_OPS = {
+    **{(op, w): tuple(f"{{a[{j}]}} {op.value} {{b[{j}]}}" for j in range(w))
+       for op in (ArithOp.ADD, ArithOp.SUB) for w in (1, 2, 4)},
+    (ArithOp.MUL, 1): ("{a[0]} * {b[0]}",),
+    (ArithOp.MUL, 2): ("{a[0]} * {b[0]} - {a[1]} * {b[1]}", "{a[0]} * {b[1]} + {a[1]} * {b[0]}"),
+    (ArithOp.DIV, 2): (
+        "ieee_div({a[0]} * {b[0]} + {a[1]} * {b[1]}, {n})",
+        "ieee_div({a[1]} * {b[0]} - {a[0]} * {b[1]}, {n})",
+    ),
+    (ArithOp.MUL, 4): _HAMILTON,
+    (ArithOp.DIV, 4): _HAMILTON,
+}
 
 
-def _csub(a: Complex, b: Complex) -> Complex:
-    return _complex(a.re - b.re, a.im - b.im)
+def _tower_code(t: str, op: ArithOp, w: int, xs: list[str], ys: list[str]) -> list[str]:
+    """Statements that bind t_0 .. t_{w-1} to `xs op ys` on the component
+    expressions xs and ys, by `_TOWER_OPS`.  A complex or quaternion `/`
+    first binds the divisor's squared norm tn and, for a quaternion, its
+    inverse ti0 .. ti3 (by `ieee_div`, which the code's namespace binds)."""
+    code = []
+    if op is ArithOp.DIV and w > 1:
+        code.append(f"{t}n = " + " + ".join(f"{c} * {c}" for c in ys))
+        if w == 4:
+            code += [f"{t}i{j} = ieee_div({'-' * (j > 0)}{c}, {t}n)" for j, c in enumerate(ys)]
+            ys = [f"{t}i{j}" for j in range(4)]
+    return code + [f"{t}_{j} = " + s.format(a=xs, b=ys, n=f"{t}n") for j, s in enumerate(_TOWER_OPS[op, w])]
 
 
-def _cmul(a: Complex, b: Complex) -> Complex:
-    return _complex(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+def _tower_kernels(kind: type, box) -> dict:
+    """`kind`'s + - * / kernels, generated from `_tower_code` on the operands'
+    fields, read inline; `box` builds the result."""
+    fields, ops = _FIELDS[kind], (ArithOp.ADD, ArithOp.SUB, ArithOp.MUL, ArithOp.DIV)
+    xs, ys = ([f"{v}.{f}" for f in fields] for v in "ab")
+    ns = {"ieee_div": _ieee_div, "box": box}
+    for op in ops:
+        code = _tower_code("t", op, len(fields), xs, ys)
+        code.append(f"return box({', '.join(f't_{j}' for j in range(len(fields)))})")
+        exec(f"def {kind.__name__.lower()}_{op.name.lower()}(a, b):\n    " + "\n    ".join(code), ns)
+    return {op: ns[f"{kind.__name__.lower()}_{op.name.lower()}"] for op in ops}
 
 
-def _cdiv(a: Complex, b: Complex) -> Complex:
-    den = b.re * b.re + b.im * b.im
-    return _complex(
-        _ieee_div(a.re * b.re + a.im * b.im, den),
-        _ieee_div(a.im * b.re - a.re * b.im, den),
-    )
-
+# ---------------------------------------------------------------------------
+# Complex arithmetic: + - * / from `_TOWER_OPS`; zero denominators produce
+# Inf/NaN components instead of raising.  Lanes call _cpow_parts itself, so
+# complex ^ has one implementation.
 
 def _cexp_parts(re: float, im: float) -> tuple[float, float]:
     try:
@@ -235,7 +278,7 @@ def _cpow_parts(a0: float, a1: float, b0: float, b1: float) -> tuple[float, floa
             return 0.0, 0.0
         return math.nan, math.nan
     l0, l1 = _clog_parts(a0, a1)
-    return _cexp_parts(b0 * l0 - b1 * l1, b0 * l1 + b1 * l0)  # _cmul(b, log a)
+    return _cexp_parts(b0 * l0 - b1 * l1, b0 * l1 + b1 * l0)  # b * log a, as complex *
 
 
 def _cexp(a: Complex) -> Complex:
@@ -250,44 +293,17 @@ def _cpow(a: Complex, b: Complex) -> Complex:
     return _complex(*_cpow_parts(a.re, a.im, b.re, b.im))
 
 
-_COMPLEX_OPS = {
-    ArithOp.ADD: _cadd,
-    ArithOp.SUB: _csub,
-    ArithOp.MUL: _cmul,
-    ArithOp.DIV: _cdiv,
-    ArithOp.POW: _cpow,
-}
+_COMPLEX_OPS = {**_tower_kernels(Complex, _complex), ArithOp.POW: _cpow}
 
 
 # ---------------------------------------------------------------------------
-# Quaternion arithmetic.  Multiplication is the Hamilton product and is not
-# commutative; division multiplies by the right operand's inverse.
-# `vm._LANE_OPS` transcribes _qmul and _qdiv term for term, and lanes unroll
-# _qpow's loop for a constant exponent into the same products: change them together.
+# Quaternion arithmetic: + - * / from `_TOWER_OPS`.  Multiplication is the
+# Hamilton product and is not commutative; division multiplies by the right
+# operand's inverse.  Lanes unroll _qpow's loop for a constant exponent into
+# the same `_tower_code` products.
 
-def _qmul(a: Quaternion, b: Quaternion) -> Quaternion:
-    return _quat(
-        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-    )
-
-
-def _qdiv(a: Quaternion, b: Quaternion) -> Quaternion:
-    n2 = b.w * b.w + b.x * b.x + b.y * b.y + b.z * b.z
-    inv = _quat(
-        _ieee_div(b.w, n2), _ieee_div(-b.x, n2), _ieee_div(-b.y, n2), _ieee_div(-b.z, n2)
-    )
-    return _qmul(a, inv)
-
-
-_QUAT_OPS = {
-    ArithOp.ADD: lambda a, b: _quat(a.w + b.w, a.x + b.x, a.y + b.y, a.z + b.z),
-    ArithOp.SUB: lambda a, b: _quat(a.w - b.w, a.x - b.x, a.y - b.y, a.z - b.z),
-    ArithOp.MUL: _qmul,
-    ArithOp.DIV: _qdiv,
-}
+_QUAT_OPS = _tower_kernels(Quaternion, _quat)
+_hamilton = _QUAT_OPS[ArithOp.MUL]
 
 
 def _qpow(a: Quaternion, b: Value) -> Quaternion:
@@ -302,10 +318,10 @@ def _qpow(a: Quaternion, b: Value) -> Quaternion:
     base = a
     while n:  # square-and-multiply; associativity makes this the repeated product
         if n & 1:
-            acc = _qmul(acc, base)
+            acc = _hamilton(acc, base)
         n >>= 1
         if n:  # the last bit needs no further square
-            base = _qmul(base, base)
+            base = _hamilton(base, base)
     return acc
 
 

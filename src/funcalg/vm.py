@@ -37,31 +37,33 @@ signature and the constants' types are all exactly `Scalar`, `Complex` or
 `Quaternion` (a tower signature) or all exactly `Scalar` or `Vector`, with
 at least one `Vector` (a vector signature).  Every value's kind is then
 known, and a value is 1, 2 or 4 float locals; frames, argument loads and
-promotion (padding with 0.0) are only names.  `+ - *`, negation and
-complex and quaternion `/` are inline, transcribed from the kernels in
-`values`.  Scalar `/`, scalar `^` and
-scalar builtins are their real kernel: the C function, and the repair where
-it raises.  Complex `^` calls `values._cpow_parts` on the float locals, and
-a quaternion `^` whose exponent is a `Scalar` constant from 0 to
-`_POW_UNROLL` is `_qpow`'s square-and-multiply unrolled into inline
-Hamilton products.  The rest (other quaternion `^`, complex and quaternion
-builtins, scans, CALL_DEF) boxes its operands, calls the kernel or the
-body's lane, and unpacks the result by its known kind.  `run` tries the
-all-`Scalar` lane first, with no signature lookup; it counts the runs that
-find no lane and, from the `_LANE_AFTER`-th (never at compile time), builds
-the run's lane.  `Scalar` subclasses and leaves stay laneless.
+promotion (padding with 0.0) are only names.  Negation is inline, and so
+are `+ - *` and complex and quaternion `/`: the statements that
+`values._tower_code` writes from `values._TOWER_OPS`, the table that also
+generates the tree walker's kernels, on the float locals.  Scalar `/`,
+scalar `^` and scalar builtins are their real kernel: the C function, and
+the repair where it raises.  Complex `^` calls `values._cpow_parts` on the
+float locals, and a quaternion `^` whose exponent is a `Scalar` constant
+from 0 to `_POW_UNROLL` is `_qpow`'s square-and-multiply unrolled into
+inline Hamilton products.  The rest (other quaternion `^`, complex and
+quaternion builtins, scans, CALL_DEF) boxes its operands, calls the kernel
+or the body's lane, and unpacks the result by its known kind.  `run` tries
+the all-`Scalar` lane first, with no signature lookup; it counts the runs
+that find no lane and, from the `_LANE_AFTER`-th (never at compile time),
+builds the run's lane.  `Scalar` subclasses and leaves stay laneless.
 A vector signature's lane is one `for` loop over the elements (a
-`zip(..., strict=True)` of the loaded vector arguments and constants, if
-several) in which each element runs the width-1 code above, with `/`
-inline as well; a scan is a running local started at its identity, and an
-instruction whose operands do not vary per element runs once, before the
-loop.  The loop reads kernels and constants as locals (keyword-only
-defaults), and no tuple is built per operator.  A vector program that has
-a CALL_DEF or a polymorphic frame, scans a scalar, or returns a value that
-does not vary per element keeps the loop.  A lane has no error path: if
-it raises (a kind error, or vectors of different lengths, say), `run`
-re-runs the loop, which raises the exact error (or answers, where those
-vectors never meet); with no leaves, nothing impure runs twice.
+`zip(..., strict=True)` of the vector arguments and constants that an
+operator reads or the program returns, if several) in which each element
+runs the width-1 code above, with `/` inline as well; a scan is a running
+local started at its identity, and an instruction whose operands do not
+vary per element runs once, before the loop.  The loop reads kernels and
+constants as locals (keyword-only defaults), and no tuple is built per
+operator.  A vector program that has a CALL_DEF or a polymorphic frame,
+scans a scalar, or returns a value that does not vary per element keeps
+the loop.  A lane has no error path: if it raises (a kind error, or
+vectors of different lengths, say), `run` re-runs the loop, which raises
+the exact error (or answers, where those vectors never meet); with no
+leaves, nothing impure runs twice.
 Contract: a lane does the loop's IEEE operations in the loop's order
 (for each element, in a vector lane), so its result is bit-identical
 (`float.hex` per component) to the loop's.
@@ -87,7 +89,7 @@ from .errors import (
     InvalidProgramError,
 )
 from .values import ArithOp, BUILTIN_NAMES, Complex, Quaternion, Scalar, Value, Vector, apply_builtin, format_value, same_value, value_binop, value_neg
-from .values import _REAL_OPS, _SCALAR_KERNELS, _SCAN_KERNELS, _complex, _cpow_parts, _ieee_div, _quat, _scalar, _vector
+from .values import _FIELDS, _REAL_OPS, _SCALAR_KERNELS, _SCAN_KERNELS, _TOWER_OPS, _complex, _cpow_parts, _ieee_div, _quat, _scalar, _tower_code, _vector
 
 
 class Op(Enum):
@@ -271,42 +273,13 @@ _LANE_AFTER = 32
 # dict, after which every attribute read of p is slower.)
 _setattr = object.__setattr__
 
-# The value types a lane holds unboxed, and their fields: a value of width w
-# (its number of fields) is held as w float locals.
-_LANE_FIELDS = {Scalar: ("x",), Complex: ("re", "im"), Quaternion: ("w", "x", "y", "z")}
-_LANE_KINDS = {len(f): t for t, f in _LANE_FIELDS.items()}  # width -> type
-_LANE_WIDTHS = {t: len(f) for t, f in _LANE_FIELDS.items()} | {Vector: 1}  # a float per element
+# width -> the value type a lane holds as that many float locals (`_FIELDS`)
+_LANE_KINDS = {len(f): t for t, f in _FIELDS.items()}
+_LANE_WIDTHS = {t: len(f) for t, f in _FIELDS.items()} | {Vector: 1}  # a float per element
 
 # The largest constant exponent of a quaternion ^ that a lane unrolls; up to it
 # the unrolled code is at most 11 Hamilton products (for 63).
 _POW_UNROLL = 64
-
-# lane code per (operator, width) on the operands' components a and b, each
-# promoted to that width by padding with 0.0 as `_as_complex`/`_as_quaternion`
-# do; n is the divisor's squared norm, and for a quaternion / b is the
-# divisor's inverse.  Transcribed from _cmul, _cdiv, _qmul and _qdiv in their
-# operand order and association.  Scalar / and ^ are their `_REAL_OPS` kernel
-# pair, complex ^ is `_cpow_parts` itself, and quaternion ^ by a constant is
-# _qpow's loop unrolled into `_HAMILTON` products (other quaternion ^ calls
-# value_binop).
-_HAMILTON = (
-    "{a[0]} * {b[0]} - {a[1]} * {b[1]} - {a[2]} * {b[2]} - {a[3]} * {b[3]}",
-    "{a[0]} * {b[1]} + {a[1]} * {b[0]} + {a[2]} * {b[3]} - {a[3]} * {b[2]}",
-    "{a[0]} * {b[2]} - {a[1]} * {b[3]} + {a[2]} * {b[0]} + {a[3]} * {b[1]}",
-    "{a[0]} * {b[3]} + {a[1]} * {b[2]} - {a[2]} * {b[1]} + {a[3]} * {b[0]}",
-)
-_LANE_OPS = {
-    **{(op, w): tuple(f"{{a[{j}]}} {op.value} {{b[{j}]}}" for j in range(w))
-       for op in (ArithOp.ADD, ArithOp.SUB) for w in (1, 2, 4)},
-    (ArithOp.MUL, 1): ("{a[0]} * {b[0]}",),
-    (ArithOp.MUL, 2): ("{a[0]} * {b[0]} - {a[1]} * {b[1]}", "{a[0]} * {b[1]} + {a[1]} * {b[0]}"),
-    (ArithOp.DIV, 2): (
-        "ieee_div({a[0]} * {b[0]} + {a[1]} * {b[1]}, {n})",
-        "ieee_div({a[1]} * {b[0]} - {a[0]} * {b[1]}, {n})",
-    ),
-    (ArithOp.MUL, 4): _HAMILTON,
-    (ArithOp.DIV, 4): _HAMILTON,
-}
 
 
 def _lane_of(p: Program, sig: tuple[type, ...]):
@@ -330,7 +303,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
     loop over the elements."""
     kinds = sig + tuple(map(type, p.constants))
     vector = p.arity.is_fixed and Vector in kinds and all(t is Scalar or t is Vector for t in kinds)
-    if p.leaves or not (vector or all(t in _LANE_FIELDS for t in kinds)):
+    if p.leaves or not (vector or all(t in _FIELDS for t in kinds)):
         return False
     ns: dict[str, object] = {
         "ieee_div": _ieee_div,
@@ -346,7 +319,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
     helpers = len(ns)
     for k, c in enumerate(p.constants):
         ns[f"c{k}"] = c
-        for j, f in enumerate(_LANE_FIELDS.get(type(c), ())):
+        for j, f in enumerate(_FIELDS.get(type(c), ())):
             ns[f"c{k}_{j}"] = getattr(c, f)  # a float, not its repr: inf, nan and -0.0 survive
     comps = lambda v: [f"{v[0]}_{j}" for j in range(v[1])]
     lines = pre = []  # the code to emit to: pre, or a vector lane's loop
@@ -356,13 +329,13 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
     sources = [f"a{i}" for i, t in enumerate(sig) if t is Vector]
     sources += [f"c{k}" for k, c in enumerate(p.constants) if type(c) is Vector]
     varying = set(sources)
-    unread = {f"a{i}" for i in range(len(sig))}  # arguments no LOAD_ARG pushes: not zipped
+    read: set[str] = set()  # the names some operator reads: the vectors to zip, with the result
 
     def unbox(x: str, w: int, expr: str | None = None) -> tuple[str, int]:
         """Bind x to expr's boxed value of width w (if given), then read its fields."""
         if expr:
             lines.append(f"    {x} = {expr}")
-        fields = ", ".join(f"{x}.{f}" for f in _LANE_FIELDS[_LANE_KINDS[w]])
+        fields = ", ".join(f"{x}.{f}" for f in _FIELDS[_LANE_KINDS[w]])
         lines.append(f"    {', '.join(comps((x, w)))} = {fields}")
         boxed.add(x)
         return x, w
@@ -381,10 +354,10 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             lines.append(f"    except (ArithmeticError, ValueError): {t}_0 = r_{name}{call}")
         return t, 1
 
-    def inline(t: str, templates, xs: list[str], ys: list[str], n: str = "") -> tuple[str, int]:
-        """Bind t_0 .. to `_LANE_OPS`-style templates on the components xs and ys."""
-        lines.extend(f"    {t}_{j} = " + s.format(a=xs, b=ys, n=n) for j, s in enumerate(templates))
-        return t, len(templates)
+    def inline(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> tuple[str, int]:
+        """Bind t_0 .. to `xs op ys` on the components xs and ys (`_tower_code`)."""
+        lines.extend("    " + s for s in _tower_code(t, op, len(xs), xs, ys))
+        return t, len(xs)
 
     def box(v: tuple[str, int]) -> str:
         if v[0] not in boxed:
@@ -403,29 +376,22 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         if op is _BINARY or op is _CALL_PRIM or op is _NEGATE:
             # emitted once before the loop, unless an operand varies per element
             operands = stack[-2:] if op is _BINARY else stack[-1:]
+            read.update(x for x, _ in operands)
             lines = loop if any(x in varying for x, _ in operands) else pre
             if lines is loop:
                 varying.add(t)
         if op is _LOAD_ARG:
             stack.append(frame[a])
-            unread.discard(frame[a][0])
         elif op is _BINARY:
             y = stack.pop()
             x = stack[-1]
             w = max(x[1], y[1])
             xs, ys = (comps(v) + ["0.0"] * (w - v[1]) for v in (x, y))
-            if w == 1 and (a, w) not in _LANE_OPS:  # scalar / and ^; a vector lane's / is inline
+            if w == 1 and (a, w) not in _TOWER_OPS:  # scalar / and ^; a vector lane's / is inline
                 raw = f"{x[0]}_0 / {y[0]}_0" if vector and a is ArithOp.DIV else ""
                 stack[-1] = kernel(t, a.name, _REAL_OPS[a], x, y, raw=raw)
             elif a is not ArithOp.POW:
-                if a is ArithOp.DIV and w > 1:
-                    lines.append(f"    {t}n = " + " + ".join(f"{c} * {c}" for c in ys))
-                    if w == 4:
-                        inv = [f"{t}i{j}" for j in range(4)]
-                        lines += [f"    {i} = ieee_div({'-' * (j > 0)}{c}, {t}n)"
-                                  for j, (i, c) in enumerate(zip(inv, ys))]
-                        ys = inv
-                stack[-1] = inline(t, _LANE_OPS[a, w], xs, ys, f"{t}n")
+                stack[-1] = inline(t, a, xs, ys)
             elif w == 2:
                 lines.append(f"    {t}_0, {t}_1 = cpow({', '.join(xs + ys)})")
                 stack[-1] = (t, 2)
@@ -434,10 +400,10 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
                 acc, base, n, k = ("1.0", "0.0", "0.0", "0.0"), xs, int(c.x), 0
                 while n:
                     if n & 1:
-                        acc = comps(inline(f"{t}m{k}", _HAMILTON, acc, base))
+                        acc = comps(inline(f"{t}m{k}", ArithOp.MUL, acc, base))
                     n >>= 1
                     if n:
-                        base = comps(inline(f"{t}s{k}", _HAMILTON, base, base))
+                        base = comps(inline(f"{t}s{k}", ArithOp.MUL, base, base))
                     k += 1
                 lines.append(f"    {', '.join(comps((t, 4)))} = {', '.join(acc)}")
                 stack[-1] = (t, 4)
@@ -460,7 +426,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
                     return False  # of a scalar, which raises
                 step, start = _SCAN_KERNELS[a]
                 pre.append(f"    {t}_0 = {start!r}")
-                stack[-1] = inline(t, _LANE_OPS[step, 1], [f"{t}_0"], comps(stack[-1]))
+                stack[-1] = inline(t, step, [f"{t}_0"], comps(stack[-1]))
             else:  # complex and quaternion kernels (abs gives a scalar); a scan raises
                 stack[-1] = unbox(t, 1 if w == 4 else w, f"apply_builtin({a!r}, {box(stack[-1])})")
         elif op is _CALL_DEF:
@@ -481,7 +447,8 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         # the loop reads kernels and constants as locals: keyword-only defaults
         local = ", ".join(f"{n}={n}" for n in list(ns)[helpers:])
         head += f", *, {local}" if local else ""
-        sources = [s for s in sources if s not in unread]  # an unread one may have another length
+        read.add(stack[0][0])
+        sources = [s for s in sources if s in read]  # an unread one may have another length
         over = f"{sources[0]}.xs" if len(sources) == 1 else f"zip({', '.join(s + '.xs' for s in sources)}, strict=True)"
         pre += ["    out = []", "    push = out.append", f"    for {', '.join(s + '_0' for s in sources)} in {over}:"]
         pre += ["    " + s for s in loop] + [f"        push({stack[0][0]}_0)", "    return boxv(tuple(out))"]

@@ -399,6 +399,87 @@ def test_complex_arithmetic_matches_host_complex():
             assert math.isclose(got.im, host.imag, rel_tol=1e-12, abs_tol=1e-12)
 
 
+# The tower's + - * / on component tuples, written out in the IEEE operation
+# order and association that the tree walker's kernels have always had:
+# division is by the squared norm, quaternion division a Hamilton product
+# with the divisor's inverse.
+def _ref_div(a: float, b: float) -> float:
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a != a or a == 0.0:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _ref_cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _ref_cdiv(a, b):
+    den = b[0] * b[0] + b[1] * b[1]
+    return (_ref_div(a[0] * b[0] + a[1] * b[1], den), _ref_div(a[1] * b[0] - a[0] * b[1], den))
+
+
+def _ref_qmul(a, b):
+    return (
+        a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
+        a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
+        a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
+        a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0],
+    )
+
+
+def _ref_qdiv(a, b):
+    n2 = b[0] * b[0] + b[1] * b[1] + b[2] * b[2] + b[3] * b[3]
+    return _ref_qmul(a, (_ref_div(b[0], n2), _ref_div(-b[1], n2), _ref_div(-b[2], n2), _ref_div(-b[3], n2)))
+
+
+_REF_TOWER = {
+    (ADD, 2): lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    (SUB, 2): lambda a, b: (a[0] - b[0], a[1] - b[1]),
+    (MUL, 2): _ref_cmul,
+    (DIV, 2): _ref_cdiv,
+    (ADD, 4): lambda a, b: tuple(x + y for x, y in zip(a, b)),
+    (SUB, 4): lambda a, b: tuple(x - y for x, y in zip(a, b)),
+    (MUL, 4): _ref_qmul,
+    (DIV, 4): _ref_qdiv,
+}
+
+_PIN_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308, 1.0, -2.5]
+
+
+def test_tower_arithmetic_is_pinned_bit_for_bit():
+    # every Complex/Quaternion operand pair (a Scalar against either too),
+    # components drawn from the edges and from floats across the exponent
+    # range, compared per component by float.hex
+    rng = random.Random(1515)
+    kinds = {Scalar: 1, Complex: 2, Quaternion: 4}
+
+    def component():
+        if rng.random() < 0.6:
+            return rng.choice(_PIN_EDGES)
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308)
+
+    checked = 0
+    for ka, wa in kinds.items():
+        for kb, wb in kinds.items():
+            w = max(wa, wb)
+            if w == 1:
+                continue
+            for _ in range(600):
+                a = tuple(component() for _ in range(wa))
+                b = tuple(component() for _ in range(wb))
+                pad = lambda c: c + (0.0,) * (w - len(c))  # promotion
+                for op in (ADD, SUB, MUL, DIV):
+                    got = value_binop(op, ka(*a), kb(*b))
+                    want = _REF_TOWER[op, w](pad(a), pad(b))
+                    assert type(got) is (Complex if w == 2 else Quaternion)
+                    assert [x.hex() for x in _components(got)] == [x.hex() for x in want], (op, a, b)
+                    checked += 1
+    assert checked == 8 * 600 * 4
+
+
 def test_complex_pow_principal_branch():
     a, b = complex(1.5, -0.5), complex(0.75, 0.25)
     got = value_binop(POW, Complex(a.real, a.imag), Complex(b.real, b.imag))
@@ -427,7 +508,7 @@ def _clog_reference(re: float, im: float) -> tuple[float, float]:
 
 
 def _cpow_reference(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    """Complex pow composed as `_cexp(_cmul(b, _clog(a)))` on (re, im) pairs,
+    """Complex pow composed as exp(b * log(a)) on (re, im) pairs,
     after the three zero-base branches."""
     if a == (0.0, 0.0):  # -0.0 == 0.0
         if b == (0.0, 0.0):

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import funcalg.algebra
+import funcalg.values
 import funcalg.vm
 from funcalg.algebra import Apply, BinOp, Const, Leaf, Neg, Prim
 from funcalg import (
@@ -204,24 +205,42 @@ def test_compiling_a_composition_chain_does_not_recurse_per_level():
 
 
 def test_validate_rejects_corrupted_programs():
-    x, = params(1)
-    tree = (x * x + 2)(builtin("sin"))
-    good = compile_expr(tree)
-    good.validate()
-
-    def corrupt(mutator):
-        instrs = list(good.instructions)
-        mutator(instrs)
-        bad = Program(tuple(instrs), good.constants, good.leaves, good.arity)
-        with pytest.raises(InvalidProgramError):
+    x, y = params(2)
+    body = compile_expr(x * y)
+    leaf = lift_function("first", 2, lambda a, b: a)
+    arg = Instr(Op.LOAD_ARG, 0)
+    pools = (Scalar(1.0),), (leaf,)
+    Program((arg,), *pools, Arity(2)).validate()
+    # (instructions, frame arity (None: polymorphic), exact message): one row per failure branch
+    table = [
+        ((Instr(Op.LOAD_ARG, -1),), 2, "instruction 0: bad argument index"),
+        ((Instr(Op.LOAD_ARG, "0"),), 2, "instruction 0: bad argument index"),
+        ((arg,), None, "instruction 0: argument load in a polymorphic frame"),
+        ((Instr(Op.LOAD_ARG, 7),), 2, "instruction 0: argument index 7 outside frame arity 2"),
+        ((arg, arg, Instr(Op.BINARY, "+")), 2, "instruction 2: bad operator payload"),
+        ((arg, Instr(Op.BINARY, ArithOp.ADD)), 2, "instruction 1: stack underflow"),
+        ((arg, Instr(Op.BEGIN_FRAME, 0)), 2, "instruction 1: bad frame arity"),
+        ((arg, Instr(Op.BEGIN_FRAME, 2)), 2, "instruction 1: stack underflow"),
+        ((arg, Instr(Op.END_FRAME)), 2, "instruction 1: no frame to pop"),
+        ((arg, Instr(Op.BEGIN_FRAME, 1), arg, arg, Instr(Op.END_FRAME)), 2,
+         "instruction 4: frame body did not leave exactly one value"),
+        ((Instr(Op.LOAD_CONST, 1),), 2, "instruction 0: constant index out of range"),
+        ((arg, Instr(Op.CALL_PRIM, "nosuch")), 2, "instruction 1: unknown builtin 'nosuch'"),
+        ((Instr(Op.CALL_PRIM, "sin"),), 2, "instruction 0: stack underflow"),
+        ((Instr(Op.CALL_DEF, "not a program"),), 2, "instruction 0: bad definition payload"),
+        ((Instr(Op.CALL_DEF, body),), None, "instruction 0: definition arity does not match frame arity"),
+        ((Instr(Op.CALL_LEAF, 1),), 2, "instruction 0: leaf index out of range"),
+        ((Instr(Op.CALL_LEAF, 0),), None, "instruction 0: leaf arity does not match frame arity"),
+        ((Instr(Op.NEGATE),), 2, "instruction 0: stack underflow"),
+        ((arg, Instr(Op.BEGIN_FRAME, 1), arg), 2, "unbalanced frames at end of program"),
+        ((arg, Instr(Op.LOAD_CONST, 0)), 2, "program leaves 2 values on the stack, expected 1"),
+        ((), 2, "program leaves 0 values on the stack, expected 1"),
+    ]
+    for instrs, n, message in table:
+        bad = Program(instrs, *pools, Arity(n))
+        with pytest.raises(InvalidProgramError) as info:
             bad.validate()
-
-    corrupt(lambda ins: ins.pop())  # unbalanced stack or frame
-    corrupt(lambda ins: ins.insert(0, Instr(Op.BINARY, ArithOp.ADD)))  # underflow
-    corrupt(lambda ins: ins.__setitem__(0, Instr(Op.LOAD_CONST, 99)))  # pool range
-    corrupt(lambda ins: ins.__setitem__(0, Instr(Op.LOAD_ARG, 7)))  # arg range
-    corrupt(lambda ins: ins.append(Instr(Op.END_FRAME)))  # frame underflow
-    corrupt(lambda ins: ins.append(Instr(Op.LOAD_CONST, 0)))  # two results
+        assert str(info.value) == message
 
 
 def test_validate_checks_callee_arity_against_the_frame():
@@ -531,7 +550,7 @@ def _check_lane(p, args, want):
 def _components(v):
     if type(v) is Vector:
         return list(v.xs)
-    return [getattr(v, f) for f in funcalg.vm._LANE_FIELDS[type(v)]]
+    return [getattr(v, f) for f in funcalg.values._FIELDS[type(v)]]
 
 
 def test_scalar_lane_matches_the_loop_bit_for_bit(monkeypatch):
@@ -756,7 +775,7 @@ def test_tower_calls_programs_get_a_lane_per_signature(name):
     built = set()
     for runs in range(1, funcalg.vm._LANE_AFTER + 8):
         kind = (Complex, Quaternion)[runs % 2]  # alternating, as the workload's points
-        fields = funcalg.vm._LANE_FIELDS[kind]
+        fields = funcalg.values._FIELDS[kind]
         args = tuple(kind(*(rng.uniform(-2, 2) for _ in fields)) for _ in range(n))
         got, want = run(p, args), evaluate(tree, args)
         assert type(got) is type(want) is kind
@@ -779,7 +798,7 @@ def test_tower_calls_lanes_square_without_value_binop(name, kind, monkeypatch):
     monkeypatch.setattr(funcalg.vm, "value_binop", counting)  # before any lane is built
     tree, n = _tower_calls_trees()[name]
     rng = random.Random(name)
-    args = tuple(kind(*(rng.uniform(-2, 2) for _ in funcalg.vm._LANE_FIELDS[kind])) for _ in range(n))
+    args = tuple(kind(*(rng.uniform(-2, 2) for _ in funcalg.values._FIELDS[kind])) for _ in range(n))
     p = compile_expr(tree)
     want = run(p, args)  # the loop's first run goes through the wrapper
     assert ArithOp.POW in calls
@@ -897,3 +916,17 @@ def test_vector_lane_zips_only_the_vectors_it_loads(monkeypatch):
     got = funcalg.vm._lane_of(p, (Vector, Vector))(*args)  # y, of another length, is never read
     assert type(got) is type(want) is Vector
     assert [v.hex() for v in got.xs] == [v.hex() for v in want.xs]
+
+
+def test_vector_lane_zips_only_the_vectors_an_operator_reads(monkeypatch):
+    x, y = params(2)
+    u, _ = params(2)
+    p = compile_expr(apply_expr(u * 2.0, [x, y]))  # loads y, but the callee's frame drops it
+    args = (Vector((1.0, 2.0, 3.0)), Vector((1.0, 2.0)))
+    want, = _loop_results(p, [args], monkeypatch)
+    for _ in range(funcalg.vm._LANE_AFTER):
+        assert run(p, args) == want
+    lane = p._lanes[Vector, Vector]
+    got = lane(*args)  # called directly: no fall-back to the loop hides a raise
+    assert type(got) is type(want) is Vector
+    assert [v.hex() for v in got.xs] == [v.hex() for v in want.xs] == [v.hex() for v in (2.0, 4.0, 6.0)]
