@@ -229,11 +229,14 @@ def _repl_in(session: Session) -> int:
                 break
         except FuncalgError as err:
             print(err, file=sys.stderr)
+        except KeyboardInterrupt:  # Ctrl-C ends the line, not the session
+            print(f"line {line_no}: interrupted", file=sys.stderr)
     return 0
 
 
 def run_repl(config: SessionConfig) -> int:
-    """Interactive read-parse-evaluate-print loop; errors keep the loop alive."""
+    """Interactive read-parse-evaluate-print loop; errors, and Ctrl-C during
+    a line, keep the loop alive."""
     return _repl_in(Session(config))
 
 

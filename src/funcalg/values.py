@@ -166,9 +166,11 @@ _REAL_OPS = {
 }
 
 
-def _map_ieee(raw, repair, *cols) -> tuple[float, ...]:
+def _map_ieee(raw, repair, *cols, screen=None) -> tuple[float, ...]:
     """`tuple(map(raw, *cols))`, with `repair` giving each element where `raw`
-    raises.  `cols` are equal-length tuples, or `repeat(x)` to broadcast x."""
+    raises.  `cols` are equal-length tuples, or `repeat(x)` to broadcast x.
+    From the first repair that gives NaN on, `screen(*cols)`, if given, gives
+    the columns of the remaining elements, rewritten so that they raise less."""
     out: list[float] = []
     results = map(raw, *cols)
     while True:
@@ -177,7 +179,17 @@ def _map_ieee(raw, repair, *cols) -> tuple[float, ...]:
             return tuple(out)
         except (ArithmeticError, ValueError):
             i = len(out)  # the element that raised
-            out.append(repair(*[c[i] if type(c) is tuple else next(c) for c in cols]))
+            out.append(r := repair(*[c[i] if type(c) is tuple else next(c) for c in cols]))
+            if screen and r != r:  # the rest, screened, with no further screen
+                return tuple(out) + _map_ieee(raw, repair, *screen(*[c[i + 1:] if type(c) is tuple else c for c in cols]))
+
+
+def _nan_bases(x, y) -> tuple:
+    """`^`'s columns with NaN for each negative finite base whose exponent is
+    finite and not an integer, where math.pow raises: IEEE's answer, NaN too."""
+    inf = math.inf
+    return tuple([math.nan if -inf < a < 0.0 and -inf < b < inf and not b.is_integer() else a
+                  for a, b in zip(x, y)]), y
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +293,6 @@ def _cpow_parts(a0: float, a1: float, b0: float, b1: float) -> tuple[float, floa
     return _cexp_parts(b0 * l0 - b1 * l1, b0 * l1 + b1 * l0)  # b * log a, as complex *
 
 
-def _cexp(a: Complex) -> Complex:
-    return _complex(*_cexp_parts(a.re, a.im))
-
-
-def _clog(a: Complex) -> Complex:
-    return _complex(*_clog_parts(a.re, a.im))
-
-
 def _cpow(a: Complex, b: Complex) -> Complex:
     return _complex(*_cpow_parts(a.re, a.im, b.re, b.im))
 
@@ -359,7 +363,7 @@ def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
         y = b.xs if isinstance(b, Vector) else repeat(b.x)
         if isinstance(a, Vector) and isinstance(b, Vector) and len(x) != len(y):
             raise LengthMismatchError(f"vector lengths differ: {len(x)} vs {len(y)}")
-        return _vector(_map_ieee(*_REAL_OPS[op], x, y))
+        return _vector(_map_ieee(*_REAL_OPS[op], x, y, screen=_nan_bases if op is ArithOp.POW else None))
 
     if isinstance(a, Quaternion) or isinstance(b, Quaternion):
         if op is ArithOp.POW:
@@ -448,8 +452,8 @@ _SCAN_KERNELS = {"cumsum": (ArithOp.ADD, 0.0), "cumprod": (ArithOp.MUL, 1.0)}
 
 # principal-branch complex extensions, only where the surface language needs them
 _COMPLEX_KERNELS = {
-    "exp": _cexp,
-    "log": _clog,
+    "exp": lambda a: _complex(*_cexp_parts(a.re, a.im)),
+    "log": lambda a: _complex(*_clog_parts(a.re, a.im)),
     "sqrt": lambda a: _cpow(a, _complex(0.5, 0.0)),
     "sin": lambda a: _complex(
         _total("sin", a.re) * _total("cosh", a.im),

@@ -22,8 +22,9 @@ running its frames cost no Python frame per level, so composition depth is
 unbounded there; compiling a definition's body, nested CALL_DEFs and the
 tree walker recurse.  A definition's body is compiled once, and each
 reference runs it on F.
-Programs are immutable, apart from their scalar-lane state (below), and
-re-entrant: concurrent runs are safe.
+`compile_expr`'s programs are valid by construction and are not validated;
+`run` validates any other program before its first run.  Runs change only a
+program's lane state (below), and are re-entrant: concurrent runs are safe.
 
 `run` unpacks each instruction as `(op, a)` and tests `op` by identity
 against module-level opcode aliases, in descending order of the summed
@@ -76,9 +77,8 @@ from __future__ import annotations
 import json
 import time
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from .algebra import Apply, Arg, Arity, BinOp, Const, Def, FuncExpr, Leaf, Neg, Prim, evaluate
@@ -112,20 +112,23 @@ class Instr(NamedTuple):
 _LOAD_ARG, _LOAD_CONST, _CALL_PRIM, _CALL_LEAF, _CALL_DEF, _BINARY, _NEGATE, _BEGIN_FRAME, _END_FRAME = Op
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Program:
-    """A compiled expression: instructions, constant pool and leaf table."""
+    """A compiled expression: instructions, constant pool and leaf table.
+    `==`, `hash` and `repr` read only these four fields, which are not frozen
+    but must not change once the program has run.  `run` validates a program
+    that `compile_expr` did not build before its first run."""
 
     instructions: tuple[Instr, ...]
     constants: tuple[Value, ...]
     leaves: tuple[Leaf, ...]
     arity: Arity
 
-    # lane state, outside the compared fields: built lanes (functions, or False)
-    # by signature, replaced on each build; runs that found none; the all-Scalar lane
-    _lanes = MappingProxyType({})
-    _runs = 0
-    _lane = None
+    # lane state: built lanes (functions, or False) by signature; the all-Scalar
+    # lane; runs that found no lane, from -1 for a program not yet validated
+    _lanes: dict = field(default_factory=dict, compare=False, repr=False)
+    _lane: object = field(default=None, compare=False, repr=False)
+    _runs: int = field(default=-1, compare=False, repr=False)
 
     def validate(self) -> None:
         """Static stack-discipline check: every instruction stays in bounds
@@ -197,9 +200,7 @@ class Program:
         if outer:
             raise InvalidProgramError("unbalanced frames at end of program")
         if depth != 1:
-            raise InvalidProgramError(
-                f"program leaves {depth} values on the stack, expected 1"
-            )
+            raise InvalidProgramError(f"program leaves {depth} values on the stack, expected 1")
 
 
 _body_programs: weakref.WeakKeyDictionary[Def, Program] = weakref.WeakKeyDictionary()
@@ -215,8 +216,8 @@ _NEGATE_INSTR, _END_FRAME_INSTR = Instr(_NEGATE), Instr(_END_FRAME)
 
 
 def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
-    """Flatten a tree post-order into a validated Program of `arity`
-    (by default the tree's own)."""
+    """Flatten a tree post-order into a Program of `arity` (by default the
+    tree's own), valid by construction: `run` does not validate it."""
     code, constants, leaves = [], [], []
     work = [e]  # nodes to compile, and instructions to emit, last first
     push, pop, emit = work.append, work.pop, code.append
@@ -253,9 +254,7 @@ def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
             leaves.append(n)
         else:
             raise TypeError(f"not a function expression: {n!r}")
-    program = Program(tuple(code), tuple(constants), tuple(leaves), arity or e.arity)
-    program.validate()
-    return program
+    return Program(tuple(code), tuple(constants), tuple(leaves), arity or e.arity, _runs=0)
 
 
 # Runs of a program that find no lane before `run` builds one.  A lane took
@@ -267,11 +266,6 @@ def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
 # 0.5-2.9 ms per run on 1e4 elements and 7-26 ms on 1e5, so it would pay
 # for itself at once; it waits for the same count.
 _LANE_AFTER = 32
-
-# writes a frozen Program's lane state; bound once, since `run` counts with it.
-# (Writing to `p.__dict__` is cheaper, but it makes CPython build the instance
-# dict, after which every attribute read of p is slower.)
-_setattr = object.__setattr__
 
 # width -> the value type a lane holds as that many float locals (`_FIELDS`)
 _LANE_KINDS = {len(f): t for t, f in _FIELDS.items()}
@@ -286,10 +280,9 @@ def _lane_of(p: Program, sig: tuple[type, ...]):
     """p's lane for argument types `sig`, built on first request; False if none."""
     lane = p._lanes.get(sig)
     if lane is None:
-        lane = _build_lane(p, sig)
-        _setattr(p, "_lanes", {**p._lanes, sig: lane})
+        lane = p._lanes[sig] = _build_lane(p, sig)
         if all(t is Scalar for t in sig):
-            _setattr(p, "_lane", lane)
+            p._lane = lane
     return lane
 
 
@@ -430,7 +423,8 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             else:  # complex and quaternion kernels (abs gives a scalar); a scan raises
                 stack[-1] = unbox(t, 1 if w == 4 else w, f"apply_builtin({a!r}, {box(stack[-1])})")
         elif op is _CALL_DEF:
-            callee = not vector and _lane_of(a, sig if frame is None else tuple(_LANE_KINDS[w] for _, w in frame))
+            # a body that no run has validated yet (a hand-built one) gets no lane here
+            callee = not vector and a._runs >= 0 and _lane_of(a, sig if frame is None else tuple(_LANE_KINDS[w] for _, w in frame))
             if not (callee and callee.width):  # a vector lane's result has no width
                 return False
             ns[f"d{ip}"] = callee
@@ -463,9 +457,7 @@ def run(p: Program, args: Sequence[Value]) -> Value:
     source tree exactly.  Evaluation errors carry the instruction index."""
     argtuple = tuple(args)
     if not p.arity.accepts(len(argtuple)):
-        raise ArityMismatchError(
-            f"program expects {p.arity} argument(s), got {len(argtuple)}"
-        )
+        raise ArityMismatchError(f"program expects {p.arity} argument(s), got {len(argtuple)}")
     for v in argtuple:
         if type(v) is not Scalar:
             lanes = p._lanes
@@ -475,7 +467,10 @@ def run(p: Program, args: Sequence[Value]) -> Value:
         lane = p._lane
     if lane is None:
         runs = p._runs + 1
-        _setattr(p, "_runs", runs)
+        if not runs:  # the first run of a program that `compile_expr` did not build
+            p.validate()
+            runs = 1
+        p._runs = runs
         if runs >= _LANE_AFTER:
             lane = _lane_of(p, tuple(map(type, argtuple)))
     if lane:
@@ -515,9 +510,7 @@ def run(p: Program, args: Sequence[Value]) -> Value:
                 stack[-1] = value_neg(stack[-1])
     except FuncalgError as err:
         raise type(err)(f"instruction {ip}: {err}") from err
-    if len(stack) != 1:  # pragma: no cover - validate() rules this out
-        raise InvalidProgramError(f"program left {len(stack)} values on the stack")
-    return stack[0]
+    return stack[0]  # the only value: validate() rules out any other count
 
 
 # ---------------------------------------------------------------------------

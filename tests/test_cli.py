@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from funcalg import FuncalgError, Session, SessionConfig, eval_once, main, run_repl, run_script
+from funcalg import FuncalgError, Session, SessionConfig, eval_once, lift_function, main, run_repl, run_script
+from funcalg.cli import _repl_in
 
 
 def _config(**kw):
@@ -334,6 +335,19 @@ def test_repl_survives_an_unexpected_exception(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "4\n"
     assert captured.err == "line 1: ValueError: boom\n"
+
+
+def test_repl_survives_a_keyboard_interrupt_inside_a_line(monkeypatch, capsys):
+    def stop(v):
+        raise KeyboardInterrupt
+
+    session = Session(_config())
+    session.env.define("stop", lift_function("stop", 1, stop))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("stop(1)\n1 + 1\n"))
+    assert _repl_in(session) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "2\n"
+    assert captured.err == "line 1: interrupted\n"
 
 
 def test_keyboard_interrupt_is_not_caught(monkeypatch):

@@ -9,12 +9,14 @@ import cmath
 import dataclasses
 import math
 import random
+from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import funcalg.values
 from funcalg import (
     PRIMITIVES,
     ArithOp,
@@ -124,6 +126,32 @@ def test_pow_equals_a_reference_that_checks_the_domain_before_overflow():
         if want != want and a == a and b == b and math.isinf(_pow_reference(-a, b)):
             invalid_overflows += 1
     assert invalid_overflows >= 20  # the corpus reaches the case where order matters
+
+
+def test_vector_pow_is_pinned_to_the_per_element_repair(monkeypatch):
+    # a negative finite base with a non-integer exponent raises once per vector,
+    # then passes as NaN; the result is the per-element repair's, bit for bit
+    grid = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308,
+            0.5, -0.5, 2.0, -2.0, 3.0, -3.0, 1e-300, -1e-300]
+    exponents = [0.5, -0.5, 2.5, -2.5, 1.5, 1e-300, 2.0, 3.0, -1.0, -2.0, 0.0, -0.0,
+                 1025.0, -1025.0, 1e308, math.inf, -math.inf, math.nan]
+    reference = funcalg.values._map_ieee
+    rng = random.Random(1616)
+    raw, repair = funcalg.values._REAL_OPS[POW]
+    raises = []
+    monkeypatch.setitem(funcalg.values._REAL_OPS, POW, (raw, lambda a, b: raises.append(a) or repair(a, b)))
+    hexes = lambda xs: [x.hex() for x in xs]
+    for _ in range(200):
+        bases = tuple(rng.choice(grid) for _ in range(rng.randint(1, 40)))
+        exps = tuple(rng.choice(exponents) for _ in bases)
+        e, a = rng.choice(exponents), rng.choice(grid)
+        for x, y, got in ((bases, repeat(e), value_binop(POW, Vector(bases), Scalar(e))),
+                          (repeat(a), exps, value_binop(POW, Scalar(a), Vector(exps))),
+                          (bases, exps, value_binop(POW, Vector(bases), Vector(exps)))):
+            assert hexes(got.xs) == hexes(reference(raw, repair, x, y))
+    raises.clear()
+    assert math.isnan(value_binop(POW, Vector(tuple(map(float, range(-1000, 1000)))), Scalar(0.5)).xs[0])
+    assert raises == [-1000.0]
 
 
 def test_division_by_zero_produces_inf_and_nan():

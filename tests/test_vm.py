@@ -159,6 +159,7 @@ def _assert_compiles_as_reference(tree):
     assert got == want
     for p in _programs(got):
         assert all(type(ins) is Instr for ins in p.instructions)
+        p.validate()  # `run` trusts compiled programs and their bodies
 
 
 def test_compile_matches_the_recursive_reference_on_generated_trees():
@@ -180,6 +181,22 @@ def test_compile_matches_the_recursive_reference_on_generated_trees():
 @pytest.mark.parametrize("name", ["2c", "2d", "3a", "3b", "chain200"])
 def test_compile_matches_the_recursive_reference_on_scalar_calls(name):
     _assert_compiles_as_reference(_scalar_calls_trees()[name][0])
+
+
+def test_the_workloads_shapes_compile_to_valid_programs():
+    # the benchmark workloads' trees: scalar-calls' golden shapes and chain(200),
+    # tower-calls', wide-vectors', and script-session-style definitions and lines
+    trees = [t for t, _ in (*_scalar_calls_trees().values(), *_tower_calls_trees().values())]
+    trees += _wide_vectors_trees().values()
+    rng = random.Random(1616)
+    trees += [treegen.gen_tower_tree(rng, n, rng.randint(0, 6)) for n in (1, 2, 3) for _ in range(200)]
+    session = Session(SessionConfig(backend="vm"), out=io.StringIO())
+    for line in (*_LANE_DEFS, "c = 0.5", "a = f"):
+        session.execute_line(line)
+    trees += [session.env.lookup(name) for name in "fghka"]
+    trees += [parse_expression(line, session.env) for line in ("a(c) + k(1, 2, 3)", "(g + g)(f, h)(0.3)", "(f + h)(2)")]
+    for tree in trees:
+        _assert_compiles_as_reference(tree)
 
 
 def _stack_depth():
@@ -260,6 +277,49 @@ def test_validate_checks_callee_arity_against_the_frame():
     ):
         with pytest.raises(InvalidProgramError, match=r"^instruction 0: "):
             bad.validate()
+
+
+_X = Instr(Op.LOAD_ARG, 0)
+
+
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        (Program((Instr(Op.LOAD_ARG, 5),), (), (), Arity(1)), "instruction 0: argument index 5 outside frame arity 1"),
+        (Program((Instr(Op.LOAD_CONST, 1),), (Scalar(1.0),), (), Arity(1)), "instruction 0: constant index out of range"),
+        (Program((), (), (), Arity(1)), "program leaves 0 values on the stack, expected 1"),
+        (Program((_X, _X), (), (), Arity(1)), "program leaves 2 values on the stack, expected 1"),
+        # a valid program whose definition body is not: the body's own first run checks it
+        (Program((Instr(Op.CALL_DEF, Program((Instr(Op.LOAD_ARG, 5),), (), (), Arity(1))),), (), (), Arity(1)),
+         "instruction 0: instruction 0: argument index 5 outside frame arity 1"),
+    ],
+    ids=["load-arg", "load-const", "empty", "two-values", "body"],
+)
+def test_run_validates_a_hand_built_program(program, message):
+    for _ in range(funcalg.vm._LANE_AFTER + 2):  # past the run that builds lanes
+        with pytest.raises(InvalidProgramError) as info:
+            run(program, (Scalar(1.0),))
+        assert str(info.value) == message
+    assert not program._lane  # never built (None), or laneless (False) for the unvalidated body
+
+
+def test_a_valid_hand_built_program_runs_and_gets_its_lane():
+    p = Program((_X, Instr(Op.LOAD_CONST, 0), Instr(Op.BINARY, ArithOp.MUL)), (Scalar(2.0),), (), Arity(1))
+    assert p == compile_expr(params(1)[0] * 2.0)  # lane state and validation are not compared
+    assert p._runs == -1
+    for runs in range(1, funcalg.vm._LANE_AFTER + 2):
+        assert run(p, (Scalar(1.5),)) == Scalar(3.0)
+        assert callable(p._lane) == (runs >= funcalg.vm._LANE_AFTER)
+    assert p._runs == funcalg.vm._LANE_AFTER
+
+
+def test_compiled_programs_are_not_validated(monkeypatch):
+    calls = []
+    monkeypatch.setattr(Program, "validate", lambda p: calls.append(p))
+    x, y = params(2)
+    p = compile_expr(x * y + Def("d", Arity(2), x - y))
+    assert run(p, (Scalar(2.0), Scalar(3.0))) == Scalar(5.0)
+    assert calls == []
 
 
 def test_run_checks_arity():
