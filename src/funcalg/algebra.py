@@ -302,7 +302,11 @@ class Apply(FuncExpr):
 # Constructors.
 
 def lift_function(name: str, arity: int, body: Callable[..., Value]) -> FuncExpr:
-    """Wrap a host callable of `arity` Value parameters as a leaf expression."""
+    """Wrap a host callable of `arity` Value parameters as a leaf expression.
+
+    An exception from `body` that is not a `FuncalgError` propagates
+    unchanged (the same object) through `evaluate` and `run`; the CLI
+    reports it in one line with exit status 2."""
     return Leaf(name, Arity(int(arity)), body)
 
 

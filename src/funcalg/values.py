@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import accumulate, product, repeat
 
 from .errors import (
     KindMismatchError,
@@ -193,15 +193,18 @@ def _nan_bases(x, y) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Complex and quaternion + - * /, written once.  `_TOWER_OPS` holds each
-# component formula as a template, and `_tower_code` turns it into Python
-# statements: the kernels below are generated from them at import, and the
-# lanes of `vm` inline the same statements on float locals, so both do the
-# same IEEE operations in the same order.
+# Tower arithmetic, written once.  `_TOWER_OPS` holds each complex and
+# quaternion + - * / component formula as a template, and `_tower_code`
+# turns it into Python statements: `_PAIR_KERNELS` below is generated from
+# them at import, and the lanes of `vm` inline the same statements on float
+# locals, so both do the same IEEE operations in the same order.  Promotion
+# (Scalar -> Complex -> Quaternion) is the same in both: the narrower
+# operand's fields are padded with 0.0.
 
 # The value types held as float fields, and their fields: a value of width w
-# (its number of fields) is w floats.
+# (its number of fields) is w floats, and `_WIDTH_KINDS[w]` is its type.
 _FIELDS = {Scalar: ("x",), Complex: ("re", "im"), Quaternion: ("w", "x", "y", "z")}
+_WIDTH_KINDS = {len(f): t for t, f in _FIELDS.items()}
 
 # The Hamilton product, which is not commutative.
 _HAMILTON = (
@@ -243,23 +246,11 @@ def _tower_code(t: str, op: ArithOp, w: int, xs: list[str], ys: list[str]) -> li
     return code + [f"{t}_{j} = " + s.format(a=xs, b=ys, n=f"{t}n") for j, s in enumerate(_TOWER_OPS[op, w])]
 
 
-def _tower_kernels(kind: type, box) -> dict:
-    """`kind`'s + - * / kernels, generated from `_tower_code` on the operands'
-    fields, read inline; `box` builds the result."""
-    fields, ops = _FIELDS[kind], (ArithOp.ADD, ArithOp.SUB, ArithOp.MUL, ArithOp.DIV)
-    xs, ys = ([f"{v}.{f}" for f in fields] for v in "ab")
-    ns = {"ieee_div": _ieee_div, "box": box}
-    for op in ops:
-        code = _tower_code("t", op, len(fields), xs, ys)
-        code.append(f"return box({', '.join(f't_{j}' for j in range(len(fields)))})")
-        exec(f"def {kind.__name__.lower()}_{op.name.lower()}(a, b):\n    " + "\n    ".join(code), ns)
-    return {op: ns[f"{kind.__name__.lower()}_{op.name.lower()}"] for op in ops}
-
-
 # ---------------------------------------------------------------------------
-# Complex arithmetic: + - * / from `_TOWER_OPS`; zero denominators produce
-# Inf/NaN components instead of raising.  Lanes call _cpow_parts itself, so
-# complex ^ has one implementation.
+# Complex exp, log and ^ on floats, total as the real kernels are: Inf and
+# NaN components instead of raising.  The pair kernels, complex sqrt and the
+# complex lanes of `vm` all call _cpow_parts, so complex ^ has one
+# implementation.
 
 def _cexp_parts(re: float, im: float) -> tuple[float, float]:
     try:
@@ -282,7 +273,7 @@ def _clog_parts(re: float, im: float) -> tuple[float, float]:
 
 def _cpow_parts(a0: float, a1: float, b0: float, b1: float) -> tuple[float, float]:
     """(a0 + a1 i)^(b0 + b1 i) on the principal branch, exp(b * log a), as
-    floats; `_cpow` and the complex lanes of `vm` both run this."""
+    floats."""
     if a0 == 0.0 and a1 == 0.0:
         if b0 == 0.0 and b1 == 0.0:
             return 1.0, 0.0
@@ -293,26 +284,41 @@ def _cpow_parts(a0: float, a1: float, b0: float, b1: float) -> tuple[float, floa
     return _cexp_parts(b0 * l0 - b1 * l1, b0 * l1 + b1 * l0)  # b * log a, as complex *
 
 
-def _cpow(a: Complex, b: Complex) -> Complex:
-    return _complex(*_cpow_parts(a.re, a.im, b.re, b.im))
-
-
-_COMPLEX_OPS = {**_tower_kernels(Complex, _complex), ArithOp.POW: _cpow}
-
-
 # ---------------------------------------------------------------------------
-# Quaternion arithmetic: + - * / from `_TOWER_OPS`.  Multiplication is the
-# Hamilton product and is not commutative; division multiplies by the right
-# operand's inverse.  Lanes unroll _qpow's loop for a constant exponent into
-# the same `_tower_code` products.
+# The tower's kernels by kind pair: `_PAIR_KERNELS[op, kind_a, kind_b]` for
+# every pair of Scalar, Complex and Quaternion with a Complex or Quaternion
+# side.  Each + - * / (and complex ^, by _cpow_parts) is one generated
+# function that reads the operands' fields inline, pads the narrower one
+# with 0.0, runs `_tower_code` and builds its result inline.  Quaternion
+# multiplication is the Hamilton product, and division multiplies by the
+# right operand's inverse.  A quaternion ^ takes only a Scalar exponent
+# (_qpow); lanes unroll its loop for a constant exponent into the same
+# `_tower_code` products.
 
-_QUAT_OPS = _tower_kernels(Quaternion, _quat)
-_hamilton = _QUAT_OPS[ArithOp.MUL]
+def _pair_kernels() -> dict:
+    ns = {"ieee_div": _ieee_div, "cpow": _cpow_parts, "new": object.__new__}
+    for w, kind in _WIDTH_KINDS.items():
+        ns[f"kind{w}"] = kind
+        ns.update((f"set{w}_{j}", getattr(kind, f).__set__) for j, f in enumerate(_FIELDS[kind]))
+    table = {}
+    for (ka, fa), (kb, fb), op in product(_FIELDS.items(), _FIELDS.items(), ArithOp):
+        w = max(len(fa), len(fb))
+        if w == 1 or (w == 4 and op is ArithOp.POW):
+            continue  # the scalar branch of `value_binop`, and _qpow below
+        xs, ys = ([f"{v}.{f}" for f in fs] + ["0.0"] * (w - len(fs)) for v, fs in (("a", fa), ("b", fb)))
+        code = [f"t_0, t_1 = cpow({', '.join(xs + ys)})"] if op is ArithOp.POW else _tower_code("t", op, w, xs, ys)
+        code += [f"r = new(kind{w})", *(f"set{w}_{j}(r, t_{j})" for j in range(w)), "return r"]
+        name = f"{op.name.lower()}_{ka.__name__.lower()}_{kb.__name__.lower()}"
+        exec(f"def {name}(a, b):\n    " + "\n    ".join(code), ns)
+        table[op, ka, kb] = ns[name]
+    return table
 
 
-def _qpow(a: Quaternion, b: Value) -> Quaternion:
-    if not isinstance(b, Scalar):
-        raise UnsupportedPowError("quaternion power needs a scalar exponent")
+_PAIR_KERNELS = _pair_kernels()
+_hamilton = _PAIR_KERNELS[ArithOp.MUL, Quaternion, Quaternion]
+
+
+def _qpow(a: Quaternion, b: Scalar) -> Quaternion:
     if not (math.isfinite(b.x) and b.x == int(b.x) and b.x >= 0):
         raise UnsupportedPowError(
             "quaternion power is defined only for non-negative integer exponents"
@@ -329,21 +335,12 @@ def _qpow(a: Quaternion, b: Value) -> Quaternion:
     return acc
 
 
-# ---------------------------------------------------------------------------
-# Promotion: Scalar -> Complex -> Quaternion.
-
-def _as_complex(v: Value) -> Complex:
-    if isinstance(v, Complex):
-        return v
-    return _complex(v.x, 0.0)  # type: ignore[union-attr]
+_PAIR_KERNELS[ArithOp.POW, Quaternion, Scalar] = _qpow
 
 
-def _as_quaternion(v: Value) -> Quaternion:
-    if isinstance(v, Quaternion):
-        return v
-    if isinstance(v, Complex):
-        return _quat(v.re, v.im, 0.0, 0.0)
-    return _quat(v.x, 0.0, 0.0, 0.0)  # type: ignore[union-attr]
+def _kind(v: object) -> type | None:
+    """The tower kind (Scalar, Complex or Quaternion) that v's type derives from."""
+    return next((t for t in type(v).__mro__ if t in _FIELDS), None)
 
 
 def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
@@ -354,6 +351,9 @@ def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
             return _scalar(raw(a.x, b.x))
         except (ArithmeticError, ValueError):
             return _scalar(repair(a.x, b.x))
+    kernel = _PAIR_KERNELS.get((op, type(a), type(b)))
+    if kernel is not None:
+        return kernel(a, b)
     if isinstance(a, Vector) or isinstance(b, Vector):
         if isinstance(a, (Complex, Quaternion)) or isinstance(b, (Complex, Quaternion)):
             raise KindMismatchError(
@@ -364,16 +364,14 @@ def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
         if isinstance(a, Vector) and isinstance(b, Vector) and len(x) != len(y):
             raise LengthMismatchError(f"vector lengths differ: {len(x)} vs {len(y)}")
         return _vector(_map_ieee(*_REAL_OPS[op], x, y, screen=_nan_bases if op is ArithOp.POW else None))
-
-    if isinstance(a, Quaternion) or isinstance(b, Quaternion):
-        if op is ArithOp.POW:
-            if not isinstance(a, Quaternion):
-                raise UnsupportedPowError("quaternion exponents are not supported")
-            return _qpow(a, b)
-        return _QUAT_OPS[op](_as_quaternion(a), _as_quaternion(b))
-
-    # at least one operand is complex and the other a scalar or complex
-    return _COMPLEX_OPS[op](_as_complex(a), _as_complex(b))
+    kernel = _PAIR_KERNELS.get((op, _kind(a), _kind(b)))  # subclasses of the tower kinds
+    if kernel is not None:
+        return kernel(a, b)
+    if op is ArithOp.POW and isinstance(a, Quaternion):
+        raise UnsupportedPowError("quaternion power needs a scalar exponent")
+    if op is ArithOp.POW and isinstance(b, Quaternion):
+        raise UnsupportedPowError("quaternion exponents are not supported")
+    raise TypeError(f"not numeric tower values: {type(a).__name__} {op.value} {type(b).__name__}")
 
 
 def value_neg(a: Value) -> Value:
@@ -454,7 +452,7 @@ _SCAN_KERNELS = {"cumsum": (ArithOp.ADD, 0.0), "cumprod": (ArithOp.MUL, 1.0)}
 _COMPLEX_KERNELS = {
     "exp": lambda a: _complex(*_cexp_parts(a.re, a.im)),
     "log": lambda a: _complex(*_clog_parts(a.re, a.im)),
-    "sqrt": lambda a: _cpow(a, _complex(0.5, 0.0)),
+    "sqrt": lambda a: _complex(*_cpow_parts(a.re, a.im, 0.5, 0.0)),
     "sin": lambda a: _complex(
         _total("sin", a.re) * _total("cosh", a.im),
         _total("cos", a.re) * _total("sinh", a.im),

@@ -43,8 +43,9 @@ are `+ - *` and complex and quaternion `/`: the statements that
 `values._tower_code` writes from `values._TOWER_OPS`, the table that also
 generates the tree walker's kernels, on the float locals.  Scalar `/`,
 scalar `^` and scalar builtins are their real kernel: the C function, and
-the repair where it raises.  Complex `^` calls `values._cpow_parts` on the
-float locals, and a quaternion `^` whose exponent is a `Scalar` constant
+the repair where it raises; a `^` by a constant finite non-integer exponent
+first maps a negative finite base to NaN, the repair's answer.  Complex `^`
+calls `values._cpow_parts` on the float locals, and a quaternion `^` whose exponent is a `Scalar` constant
 from 0 to `_POW_UNROLL` is `_qpow`'s square-and-multiply unrolled into
 inline Hamilton products.  The rest (other quaternion `^`, complex and
 quaternion builtins, scans, CALL_DEF) boxes its operands, calls the kernel
@@ -75,6 +76,7 @@ and either one is correct.
 from __future__ import annotations
 
 import json
+import math
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -89,7 +91,7 @@ from .errors import (
     InvalidProgramError,
 )
 from .values import ArithOp, BUILTIN_NAMES, Complex, Quaternion, Scalar, Value, Vector, apply_builtin, format_value, same_value, value_binop, value_neg
-from .values import _FIELDS, _REAL_OPS, _SCALAR_KERNELS, _SCAN_KERNELS, _TOWER_OPS, _complex, _cpow_parts, _ieee_div, _quat, _scalar, _tower_code, _vector
+from .values import _FIELDS, _REAL_OPS, _SCALAR_KERNELS, _SCAN_KERNELS, _TOWER_OPS, _WIDTH_KINDS, _complex, _cpow_parts, _ieee_div, _quat, _scalar, _tower_code, _vector
 
 
 class Op(Enum):
@@ -267,8 +269,6 @@ def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
 # for itself at once; it waits for the same count.
 _LANE_AFTER = 32
 
-# width -> the value type a lane holds as that many float locals (`_FIELDS`)
-_LANE_KINDS = {len(f): t for t, f in _FIELDS.items()}
 _LANE_WIDTHS = {t: len(f) for t, f in _FIELDS.items()} | {Vector: 1}  # a float per element
 
 # The largest constant exponent of a quaternion ^ that a lane unrolls; up to it
@@ -328,7 +328,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         """Bind x to expr's boxed value of width w (if given), then read its fields."""
         if expr:
             lines.append(f"    {x} = {expr}")
-        fields = ", ".join(f"{x}.{f}" for f in _FIELDS[_LANE_KINDS[w]])
+        fields = ", ".join(f"{x}.{f}" for f in _FIELDS[_WIDTH_KINDS[w]])
         lines.append(f"    {', '.join(comps((x, w)))} = {fields}")
         boxed.add(x)
         return x, w
@@ -382,6 +382,10 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             xs, ys = (comps(v) + ["0.0"] * (w - v[1]) for v in (x, y))
             if w == 1 and (a, w) not in _TOWER_OPS:  # scalar / and ^; a vector lane's / is inline
                 raw = f"{x[0]}_0 / {y[0]}_0" if vector and a is ArithOp.DIV else ""
+                if a is ArithOp.POW and type(c := ns.get(y[0])) is Scalar and math.isfinite(c.x) and not c.x.is_integer():
+                    # a constant non-integer exponent: a negative finite base's NaN is inline, not raised
+                    ns["nan"], ns["inf"] = math.nan, math.inf
+                    raw = f"nan if -inf < {x[0]}_0 < 0.0 else k_POW({x[0]}_0, {y[0]}_0)"
                 stack[-1] = kernel(t, a.name, _REAL_OPS[a], x, y, raw=raw)
             elif a is not ArithOp.POW:
                 stack[-1] = inline(t, a, xs, ys)
@@ -424,7 +428,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
                 stack[-1] = unbox(t, 1 if w == 4 else w, f"apply_builtin({a!r}, {box(stack[-1])})")
         elif op is _CALL_DEF:
             # a body that no run has validated yet (a hand-built one) gets no lane here
-            callee = not vector and a._runs >= 0 and _lane_of(a, sig if frame is None else tuple(_LANE_KINDS[w] for _, w in frame))
+            callee = not vector and a._runs >= 0 and _lane_of(a, sig if frame is None else tuple(_WIDTH_KINDS[w] for _, w in frame))
             if not (callee and callee.width):  # a vector lane's result has no width
                 return False
             ns[f"d{ip}"] = callee

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from funcalg import FuncalgError, Session, SessionConfig, eval_once, lift_function, main, run_repl, run_script
-from funcalg.cli import _repl_in
+from funcalg.cli import _eval_in, _repl_in
 
 
 def _config(**kw):
@@ -348,6 +348,19 @@ def test_repl_survives_a_keyboard_interrupt_inside_a_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "2\n"
     assert captured.err == "line 1: interrupted\n"
+
+
+@pytest.mark.parametrize("backend", ["tree", "vm", "check"])
+def test_a_leafs_own_exception_is_reported_in_one_line(backend, capsys):
+    def fails(v):
+        raise ZeroDivisionError("host leaf failed")
+
+    session = Session(_config(backend=backend))
+    session.env.define("fails", lift_function("fails", 1, fails))
+    assert _eval_in(session, "fails(2) + 1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "line 1: ZeroDivisionError: host leaf failed\n"
 
 
 def test_keyboard_interrupt_is_not_caught(monkeypatch):

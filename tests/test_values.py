@@ -6,8 +6,11 @@ Hamilton product.
 """
 
 import cmath
+import collections
 import dataclasses
+import itertools
 import math
+import operator
 import random
 from itertools import repeat
 
@@ -571,6 +574,95 @@ def test_complex_pow_exp_log_sqrt_equal_the_composed_reference():
             assert hexes(value_binop(POW, Scalar(x), Complex(*a))) == want((x, 0.0), a), (x, a)
 
 
+class _SubScalar(Scalar):
+    __slots__ = ()
+
+
+class _SubComplex(Complex):
+    __slots__ = ()
+
+
+class _SubQuaternion(Quaternion):
+    __slots__ = ()
+
+
+def _qpow_reference(a, n: int):
+    """a^n as the repeated Hamilton product, multiplied in square-and-multiply order."""
+    acc = (1.0, 0.0, 0.0, 0.0)
+    while n:
+        if n & 1:
+            acc = _ref_qmul(acc, a)
+        n >>= 1
+        if n:
+            a = _ref_qmul(a, a)
+    return acc
+
+
+_QPOW_DOMAIN = "quaternion power is defined only for non-negative integer exponents"
+_QPOW_ERRORS = {  # (op, kind_a, kind_b) -> the message of the UnsupportedPowError it raises
+    (POW, Scalar, Quaternion): "quaternion exponents are not supported",
+    (POW, Complex, Quaternion): "quaternion exponents are not supported",
+    (POW, Quaternion, Complex): "quaternion power needs a scalar exponent",
+    (POW, Quaternion, Quaternion): "quaternion power needs a scalar exponent",
+}
+
+
+def _kind_pair_reference(op, a, b):
+    """`a op b` on component tuples: (result kind, components), or the message
+    of the UnsupportedPowError it raises."""
+    w = max(len(a), len(b))
+    kind = {1: Scalar, 2: Complex, 4: Quaternion}[w]
+    pad = lambda c: c + (0.0,) * (w - len(c))  # promotion
+    if w == 1:
+        real = {ADD: operator.add, SUB: operator.sub, MUL: operator.mul, DIV: _ref_div, POW: _pow_reference}
+        return kind, (real[op](a[0], b[0]),)
+    if op is not POW:
+        return kind, _REF_TOWER[op, w](pad(a), pad(b))
+    if w == 2:
+        return kind, _cpow_reference(pad(a), pad(b))
+    e = b[0]
+    if not (math.isfinite(e) and e.is_integer() and e >= 0):
+        return _QPOW_DOMAIN
+    return kind, _qpow_reference(a, int(e))
+
+
+def test_every_kind_pair_is_pinned_bit_for_bit():
+    # every (op, kind_a, kind_b) over the three kinds, with exact-type and with
+    # subclass operands: float.hex-equal to the reference, or the exact error
+    rng = random.Random(1717)
+    kinds = {Scalar: _SubScalar, Complex: _SubComplex, Quaternion: _SubQuaternion}
+    exponents = [0.0, -0.0, 1.0, 2.0, 3.0, 7.0, 64.0, 1025.0, 0.5, -1.0, -2.5, math.inf, math.nan]
+
+    def component():
+        if rng.random() < 0.6:
+            return rng.choice(_PIN_EDGES)
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308)
+
+    seen = collections.Counter()
+    for op in (ADD, SUB, MUL, DIV, POW):
+        for ka, kb in itertools.product(kinds, repeat=2):
+            for _ in range(150):
+                a = tuple(component() for _ in dataclasses.fields(ka))
+                b = tuple(component() for _ in dataclasses.fields(kb))
+                if op is POW and ka is Quaternion and kb is Scalar and rng.random() < 0.7:
+                    b = (rng.choice(exponents),)
+                    a = tuple(rng.uniform(-1.5, 1.5) if rng.random() < 0.7 else x for x in a)
+                want = _QPOW_ERRORS.get((op, ka, kb)) or _kind_pair_reference(op, a, b)
+                for x, y in ((ka(*a), kb(*b)), (kinds[ka](*a), kb(*b)), (ka(*a), kinds[kb](*b)),
+                             (kinds[ka](*a), kinds[kb](*b))):
+                    if isinstance(want, str):
+                        with pytest.raises(UnsupportedPowError) as info:
+                            value_binop(op, x, y)
+                        assert type(info.value) is UnsupportedPowError and str(info.value) == want
+                        seen["error"] += 1
+                        continue
+                    got = value_binop(op, x, y)
+                    assert type(got) is want[0], (op, x, y)
+                    assert [c.hex() for c in _components(got)] == [c.hex() for c in want[1]], (op, x, y)
+                    seen[want[0].__name__] += 1
+    assert seen["error"] >= 2000 and min(seen.values()) >= 2000, seen
+
+
 def test_value_neg():
     assert value_neg(Scalar(3.0)) == Scalar(-3.0)
     assert value_neg(Vector((1.0, 2.0))) == Vector((-1.0, -2.0))
@@ -648,7 +740,7 @@ def test_complex_kernels_give_nan_where_real_sin_cos_raise():
         apply_builtin("exp", value_binop(MUL, inf, im)),  # Exp(1e999*im)
         apply_builtin("sin", value_binop(ADD, inf, value_binop(MUL, Scalar(0.0), im))),
         apply_builtin("cos", value_binop(ADD, inf, value_binop(MUL, Scalar(0.0), im))),
-        value_binop(POW, Complex(0.0, 1e308), Complex(1e308, 1e308)),  # through _cpow
+        value_binop(POW, Complex(0.0, 1e308), Complex(1e308, 1e308)),  # through _cpow_parts
     ]
     for got in cases:
         assert type(got) is Complex and math.isnan(got.re) and math.isnan(got.im)

@@ -499,6 +499,33 @@ def test_errors_inside_definitions_match_across_backends():
     assert errors["vm"] == "instruction 2: instruction 3: " + errors["tree"]
 
 
+def test_a_leafs_own_exception_propagates_through_both_backends():
+    boom = ZeroDivisionError("host leaf failed")
+
+    def body(v):
+        raise boom
+
+    leaf = lift_function("fails", 1, body)
+    x, = params(1)
+    inner = x + leaf * 2.0
+    trees = [leaf, inner, Def("d", Arity(1), inner), apply_expr(inner, [x * x])]
+    for tree in trees:
+        with pytest.raises(ZeroDivisionError) as info:
+            evaluate(tree, (Scalar(1.0),))
+        assert info.value is boom
+        p = compile_expr(tree)
+        for _ in range(funcalg.vm._LANE_AFTER + 1):  # a program with a leaf stays on the loop
+            with pytest.raises(ZeroDivisionError) as info:
+                run(p, (Scalar(1.0),))
+            assert info.value is boom
+    for backend in ("tree", "vm", "check"):
+        session = Session(SessionConfig(backend=backend), out=io.StringIO())
+        session.env.define("fails", leaf)
+        with pytest.raises(ZeroDivisionError) as info:
+            session.execute_line("fails(2) + 1")
+        assert info.value is boom
+
+
 def test_constant_definition_keeps_declared_arity():
     session = Session(SessionConfig(backend="vm"), out=io.StringIO())
     session.execute_line("f(x) = 3")
@@ -899,6 +926,32 @@ def test_tower_pow_lanes_match_the_loop_on_edge_exponents(monkeypatch):
     assert at_zero == {"1+0i", "0+0i", "NaN+NaNi"}
     assert min(outcomes.values()) >= 200, outcomes
     assert set(outcomes) == {"error", "Scalar", "Complex", "Quaternion"}, outcomes
+
+
+def test_pow_lanes_by_a_constant_match_the_loop_on_the_edge_grid(monkeypatch):
+    # the grid of test_vector_pow_is_pinned_to_the_per_element_repair, as
+    # vectors and as scalars, raised to each of its exponents as a constant
+    grid = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308,
+            0.5, -0.5, 2.0, -2.0, 3.0, -3.0, 1e-300, -1e-300]
+    exponents = [0.5, -0.5, 2.5, -2.5, 1.5, 1e-300, 2.0, 3.0, -1.0, -2.0, 0.0, -0.0,
+                 1025.0, -1025.0, 1e308, math.inf, -math.inf, math.nan]
+    rng = random.Random(1717)
+    cases = [(Vector(tuple(grid)),), (Vector(tuple(rng.choice(grid) for _ in range(200))),)]
+    cases += [(Scalar(a),) for a in grid]
+    u, = params(1)
+    for e in exponents:
+        for tree in (u ** e, u ** e + 1.0):
+            p = compile_expr(tree)
+            for args, want in zip(cases, _loop_results(p, cases, monkeypatch)):
+                assert _check_lane(p, args, want) == type(args[0]).__name__
+    # a negative finite base with a constant non-integer exponent is NaN without a raise
+    raw, repair = funcalg.values._REAL_OPS[ArithOp.POW]
+    repairs = []
+    monkeypatch.setitem(funcalg.values._REAL_OPS, ArithOp.POW, (raw, lambda a, b: repairs.append(a) or repair(a, b)))
+    xs = Vector(tuple(map(float, range(-1000, 1000))))
+    got = funcalg.vm._lane_of(compile_expr(u ** 0.5 + 1.0), (Vector,))(xs)
+    assert all(map(math.isnan, got.xs[:1000])) and got.xs[1001] == 2.0
+    assert repairs == []
 
 
 @pytest.mark.parametrize("text, base, exponent", [
