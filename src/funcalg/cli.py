@@ -251,6 +251,16 @@ def run_script(config: SessionConfig, path: str) -> int:
     return _run_script_in(Session(config), path)
 
 
+def _joined_eval(argv: list[str]) -> list[str]:
+    """argv with `-e EXPR` and `--eval EXPR` as `--eval=EXPR`, so that an EXPR
+    starting with "-" (-2^2, say) is taken as it stands, not as an option."""
+    out, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in ("-e", "--eval") else None
+        out.append(arg if value is None else f"--eval={value}")
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="funcalg",
@@ -281,7 +291,7 @@ def main(argv=None) -> int:
         metavar="ITERS",
         help="iteration count used by :bench",
     )
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_joined_eval(sys.argv[1:] if argv is None else argv))
 
     try:
         config = SessionConfig(

@@ -34,6 +34,12 @@ minus, so -x^2 parses as -(x^2).  Identifiers are resolved against the
 environment when the text is parsed (early binding): redefining g later
 does not change a function already defined in terms of g.
 
+The lexer cuts each line at its first "#" and splits the rest with one
+`re.split`; kinds, columns and the Token objects come from C-level maps over
+the parts, so no Python statement runs per token.  The text between tokens
+must be blank (space, tab or CR), and its first other character is the
+line's first error: a malformed number or an illegal character.
+
 The parser appends an "eof" sentinel token, placed just after the last
 token, so its cursor reads the next token by plain indexing.
 """
@@ -42,7 +48,10 @@ from __future__ import annotations
 
 import math
 import re
+import string
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import NamedTuple, Union
 
 from .algebra import (
@@ -85,53 +94,50 @@ class Token(NamedTuple):
     col: int
 
 
-_TOKEN_RE = re.compile(
-    r"""(?P<skip>[ \t\r]+|\#[^\n]*)
-      | (?P<newline>\n)
-      | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>[-+*/^])
-      | (?P<punct>[()\[\],;:=])
-      | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL | re.ASCII,  # ASCII: \d must not match other scripts' digits
-)
+# re.split with this pattern gives [gap, token, number, gap, ..., gap], and
+# the gaps must be blank.  A number is its pattern's first match, made atomic
+# by the lookahead and backreference (Python 3.10's re has no atomic groups),
+# and is a token only where no "e", "E" or "." follows it.
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_TOKEN_SPLIT = re.compile(
+    rf"((?=({_NUMBER}))\2(?![eE.])|[A-Za-z_]\w*|[-+*/^()\[\],;:=])",
+    re.ASCII,  # \d and \w must not match other scripts' digits and letters
+).split
+_NUMBER_START = re.compile(r"\.?\d", re.ASCII).match  # in a gap: a number that failed as a token
 
-_PUNCT_KINDS = {
-    "(": "lparen",
-    ")": "rparen",
-    "[": "lbracket",
-    "]": "rbracket",
-    ",": "comma",
-    ";": "semi",
-    ":": "colon",
-    "=": "assign",
+_KINDS = {  # token kind by the lexeme's first character
+    **dict.fromkeys("0123456789.", "number"),
+    **dict.fromkeys(string.ascii_letters + "_", "ident"),
+    **dict.fromkeys("-+*/^", "op"),
+    "(": "lparen", ")": "rparen", "[": "lbracket", "]": "rbracket",
+    ",": "comma", ";": "semi", ":": "colon", "=": "assign",
 }
+_first = itemgetter(0)  # a lexeme's first character, or a token's kind
 
 
 def tokenize(text: str, start_line: int = 1) -> list[Token]:
     """Lex text into tokens; positions are 1-based line and column."""
     tokens: list[Token] = []
-    line, line_start = start_line, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-            continue
-        lexeme = m.group()
-        col = m.start() - line_start + 1
-        if kind == "bad":
-            raise LexError(f"line {line}, column {col}: illegal character {lexeme!r}")
-        if kind == "number" and text[m.end() : m.end() + 1] in ("e", "E", "."):
-            raise LexError(f"line {line}, column {col}: malformed number")
-        tokens.append(Token(_PUNCT_KINDS.get(lexeme, kind), lexeme, line, col))
+    for line, code in enumerate(text.split("\n"), start_line):
+        parts = _TOKEN_SPLIT(code.partition("#")[0])
+        del parts[2::3]  # the number group: [gap, token, gap, ..., gap]
+        cols = list(accumulate(map(len, parts), initial=1))  # each part's column
+        if "".join(parts[::2]).strip(" \t\r"):  # the first non-blank gap holds the first error
+            gap, col = next((g, c) for g, c in zip(parts[::2], cols[::2]) if g.strip(" \t\r"))
+            rest = gap.lstrip(" \t\r")
+            col += len(gap) - len(rest)
+            what = "malformed number" if _NUMBER_START(code, col - 1) else f"illegal character {rest[0]!r}"
+            raise LexError(f"line {line}, column {col}: {what}")
+        lexemes = parts[1::2]
+        kinds = map(_KINDS.__getitem__, map(_first, lexemes))
+        tokens += map(tuple.__new__, repeat(Token), zip(kinds, lexemes, repeat(line), cols[1::2]))
     return tokens
 
 
 def statement_runs(tokens: list[Token]) -> list[list[Token]]:
     """Split a token stream into per-statement runs at ";" and line breaks."""
+    if tokens and tokens[0].line == tokens[-1].line and "semi" not in map(_first, tokens):
+        return [tokens]  # one statement on one line: no walk
     runs: list[list[Token]] = []
     run: list[Token] = []
     for tok in tokens:
@@ -400,7 +406,14 @@ class _Parser:
         return items
 
     def _vector_element(self) -> float:
-        tok = self.tokens[self.pos]
+        toks, pos = self.tokens, self.pos
+        tok = toks[pos]
+        # a literal, NUMBER or "-" NUMBER before "," or "]", is read straight
+        # to its float; near the nesting limit the general path raises
+        num = toks[pos + (neg := tok.lexeme == "-")]
+        if num.kind == "number" and toks[pos + neg + 1].kind in ("comma", "rbracket") and self.depth + neg < MAX_NESTING:
+            self.pos += neg + 1
+            return -float(num.lexeme) if neg else float(num.lexeme)
         elem = self.expr()
         if elem.arity.is_fixed:
             raise self._err(tok, "vector elements must be constant expressions")

@@ -215,35 +215,38 @@ _HAMILTON = (
 )
 
 # component templates per (operator, width) on the operands' components a
-# and b, each of that width (promotion pads with 0.0); n is the divisor's
-# squared norm, and for a quaternion / b is the divisor's inverse.  Real /
-# and ^ are `_REAL_OPS` kernels, and complex and quaternion ^ are below.
+# and b, each of that width (promotion pads with 0.0); a complex / gives the
+# numerators over the divisor's squared norm, and a quaternion / is written
+# by `_tower_code` as the Hamilton product with the divisor's inverse.  Real
+# / and ^ are `_REAL_OPS` kernels, and complex and quaternion ^ are below.
 _TOWER_OPS = {
     **{(op, w): tuple(f"{{a[{j}]}} {op.value} {{b[{j}]}}" for j in range(w))
        for op in (ArithOp.ADD, ArithOp.SUB) for w in (1, 2, 4)},
     (ArithOp.MUL, 1): ("{a[0]} * {b[0]}",),
     (ArithOp.MUL, 2): ("{a[0]} * {b[0]} - {a[1]} * {b[1]}", "{a[0]} * {b[1]} + {a[1]} * {b[0]}"),
-    (ArithOp.DIV, 2): (
-        "ieee_div({a[0]} * {b[0]} + {a[1]} * {b[1]}, {n})",
-        "ieee_div({a[1]} * {b[0]} - {a[0]} * {b[1]}, {n})",
-    ),
+    (ArithOp.DIV, 2): ("{a[0]} * {b[0]} + {a[1]} * {b[1]}", "{a[1]} * {b[0]} - {a[0]} * {b[1]}"),
     (ArithOp.MUL, 4): _HAMILTON,
-    (ArithOp.DIV, 4): _HAMILTON,
 }
 
 
 def _tower_code(t: str, op: ArithOp, w: int, xs: list[str], ys: list[str]) -> list[str]:
     """Statements that bind t_0 .. t_{w-1} to `xs op ys` on the component
     expressions xs and ys, by `_TOWER_OPS`.  A complex or quaternion `/`
-    first binds the divisor's squared norm tn and, for a quaternion, its
-    inverse ti0 .. ti3 (by `ieee_div`, which the code's namespace binds)."""
-    code = []
-    if op is ArithOp.DIV and w > 1:
-        code.append(f"{t}n = " + " + ".join(f"{c} * {c}" for c in ys))
-        if w == 4:
-            code += [f"{t}i{j} = ieee_div({'-' * (j > 0)}{c}, {t}n)" for j, c in enumerate(ys)]
-            ys = [f"{t}i{j}" for j in range(4)]
-    return code + [f"{t}_{j} = " + s.format(a=xs, b=ys, n=f"{t}n") for j, s in enumerate(_TOWER_OPS[op, w])]
+    binds the divisor's squared norm tn and divides by it: a complex one's
+    numerators, a quaternion one's divisor to its inverse ti0 .. ti3.  It
+    tests tn once: plain `/` where tn is nonzero (NaN and infinity included,
+    where `/` does not raise), `ieee_div` (which the code's namespace binds)
+    only where it is zero."""
+    if op is not ArithOp.DIV:
+        return [f"{t}_{j} = " + s.format(a=xs, b=ys) for j, s in enumerate(_TOWER_OPS[op, w])]
+    if w == 2:
+        names, nums = [f"{t}_0", f"{t}_1"], [s.format(a=xs, b=ys) for s in _TOWER_OPS[op, w]]
+    else:
+        names, nums = [f"{t}i{j}" for j in range(4)], [f"{'-' * (j > 0)}{c}" for j, c in enumerate(ys)]
+    code = [f"{t}n = " + " + ".join(f"{c} * {c}" for c in ys),
+            f"if {t}n: " + "; ".join(f"{x} = ({e}) / {t}n" for x, e in zip(names, nums)),
+            "else: " + "; ".join(f"{x} = ieee_div({e}, {t}n)" for x, e in zip(names, nums))]
+    return code if w == 2 else code + _tower_code(t, ArithOp.MUL, 4, xs, names)
 
 
 # ---------------------------------------------------------------------------

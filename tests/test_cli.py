@@ -237,6 +237,19 @@ def test_main_script_failure_stops_pipeline(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_main_eval_takes_an_expression_that_starts_with_minus(capsys):
+    assert main(["-e", "-2^2"]) == 0
+    assert capsys.readouterr().out == "-4\n"
+    assert main(["--digits", "3", "--eval", "-pi"]) == 0
+    assert capsys.readouterr().out == "-3.14\n"
+    assert main(["-e", "-", "--digits", "3"]) == 1  # "-" is the expression, not an option
+    assert "expected expression" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["-e"])  # a bare trailing -e is still a usage error
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_main_backend_flag(tmp_path, capsys):
     script = tmp_path / "defs.fa"
     script.write_text("f(x) = x^2\nf(1:4)\n")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -42,7 +43,7 @@ from funcalg import (
     tokenize,
     value_binop,
 )
-from funcalg.parser import MAX_NESTING, statement_runs
+from funcalg.parser import MAX_NESTING, Token, statement_runs
 
 import treegen
 
@@ -89,6 +90,98 @@ def test_lex_error_malformed_number():
 def test_statement_runs_split_on_semicolons_and_newlines():
     runs = statement_runs(tokenize("a = 1; b = 2\nc = 3"))
     assert [" ".join(t.lexeme for t in r) for r in runs] == ["a = 1", "b = 2", "c = 3"]
+    assert statement_runs([]) == []
+    one = tokenize("f(x) = x + 1  # one statement")
+    assert statement_runs(one) == [one]
+    assert [len(r) for r in statement_runs(tokenize("a = 1;"))] == [3]
+    assert [len(r) for r in statement_runs(tokenize("; a\n;b;"))] == [1, 1]
+
+
+# The reference lexer that `tokenize` must equal: one regex match per token
+# (or blank, newline or illegal character), scanned from the left.
+_REF_TOKEN_RE = re.compile(
+    r"""(?P<skip>[ \t\r]+|\#[^\n]*)
+      | (?P<newline>\n)
+      | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op>[-+*/^])
+      | (?P<punct>[()\[\],;:=])
+      | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL | re.ASCII,
+)
+_REF_PUNCT_KINDS = {
+    "(": "lparen", ")": "rparen", "[": "lbracket", "]": "rbracket",
+    ",": "comma", ";": "semi", ":": "colon", "=": "assign",
+}
+
+
+def _ref_tokenize(text, start_line=1):
+    tokens = []
+    line, line_start = start_line, 0
+    for m in _REF_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+            continue
+        lexeme = m.group()
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise LexError(f"line {line}, column {col}: illegal character {lexeme!r}")
+        if kind == "number" and text[m.end() : m.end() + 1] in ("e", "E", "."):
+            raise LexError(f"line {line}, column {col}: malformed number")
+        tokens.append(Token(_REF_PUNCT_KINDS.get(lexeme, kind), lexeme, line, col))
+    return tokens
+
+
+def _lex_outcome(lex, text, start_line=1):
+    """lex's tokens, or its LexError's message."""
+    try:
+        return lex(text, start_line)
+    except LexError as err:
+        return str(err)
+
+
+_LEXEMES = [
+    "f", "x1", "_a_2", "Sin", "e", "E", "e5", "0", "7", "42", "1.", "2.5", ".5", "1e3", "1.e5",
+    "7E-2", "3e+4", "1e999", "+", "-", "*", "/", "^", "(", ")", "[", "]", ",", ";", ":", "=",
+]
+_BLANKS = [" ", "  ", "\t", "\r", "\n", "\r\n", "# comment", "#@.\u00e9 1e"]
+_OTHERS = [
+    "\u00e9", "\u00c5x", "\u0663", "\uff11", "\u00b2", ".", "@", "\f", "\v", "\u2028",
+    "1..2", "3e", "1e+", "x1.5e", ".5.5", "1.5e3e", "2E-", "1.2.3",
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1500)
+@given(parts=st.one_of(
+    st.lists(st.sampled_from(_LEXEMES + _BLANKS), max_size=30),  # adjacent lexemes can still be malformed
+    st.lists(st.sampled_from(_LEXEMES + _BLANKS + _OTHERS), max_size=30),
+))
+def test_tokenize_equals_the_one_match_per_token_lexer(parts):
+    text = "".join(parts)
+    for start_line in (1, 7):
+        assert _lex_outcome(tokenize, text, start_line) == _lex_outcome(_ref_tokenize, text, start_line)
+
+
+def test_tokenize_reports_the_first_error_on_a_line():
+    # the malformed number's column, not the later "."; and a gap's first
+    # character, even where a number follows it
+    for text, message in [
+        ("1.5.", "line 1, column 1: malformed number"),
+        ("a .5.5", "line 1, column 3: malformed number"),
+        ("x1.5e", "line 1, column 3: malformed number"),
+        ("@1e", "line 1, column 1: illegal character '@'"),
+        ("1e @", "line 1, column 1: malformed number"),
+        ("ok\n .\u00e9", "line 2, column 2: illegal character '.'"),
+        ("ok # \u00e9\n\u00e9", "line 2, column 1: illegal character '\u00e9'"),
+    ]:
+        with pytest.raises(LexError) as info:
+            tokenize(text)
+        assert str(info.value) == message
+        assert _lex_outcome(_ref_tokenize, text) == message
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +280,47 @@ def test_vector_literals():
     assert evaluate_constant(parse_expression("[-1.5]", Env())) == Vector((-1.5,))
     with pytest.raises(ParseError, match="constant"):
         parse_expression("[Sin, 2]", Env())
+
+
+def _vector_outcome(text):
+    """The float.hex of each element of text's vector, or its error."""
+    try:
+        return [x.hex() for x in evaluate_constant(parse_expression(text, Env())).xs]
+    except FuncalgError as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("[-0]", None),
+    ("[1e999, -1e999]", None),
+    ("[-.5]", None),
+    ("[-2^2]", None),
+    ("[0, -0.0, 1.e5, 7E-2, -3, 2.5]", None),
+    ("[1:3]", ("ParseError", "line 1, column 2: vector elements must be scalars")),
+    ("[1,]", ("ParseError", "line 1, column 4: expected expression, found ']'")),
+    ("[-, 1]", ("ParseError", "line 1, column 3: expected expression, found ','")),
+])
+def test_literal_vector_elements_equal_the_general_path(text, outcome):
+    # a literal element is read straight to its float; parsed on its own,
+    # the same text goes through expr, factor and atom and is evaluated
+    if outcome is None:
+        elems = text[1:-1].split(", ")
+        outcome = [evaluate_constant(parse_expression(e, Env())).x.hex() for e in elems]
+    assert _vector_outcome(text) == outcome
+
+
+def test_literal_vector_elements_reach_the_nesting_limit_where_the_general_path_does():
+    # "*1" sends an element through expr, factor and atom at the same depth
+    for elem in ("1", "-1"):
+        for k in range(MAX_NESTING - 4, MAX_NESTING):
+            def nested(e):
+                return "(" * k + f"[{e}, 2]" + ")" * k
+            assert _vector_outcome(nested(elem)) == _vector_outcome(nested(elem + "*1"))
+    # the number, or the "-", is the factor that reaches the limit
+    at = ("NestingError", f"line 1, column {MAX_NESTING + 1}: expression nested too deeply")
+    for k, elem in [(MAX_NESTING - 1, "1"), (MAX_NESTING - 2, "-1"), (MAX_NESTING - 1, "-1")]:
+        assert _vector_outcome("(" * k + f"[{elem}]" + ")" * k) == at
+    assert _vector_outcome("(" * (MAX_NESTING - 3) + "[-1]" + ")" * (MAX_NESTING - 3)) == [(-1.0).hex()]
 
 
 def test_seed_constants():
