@@ -172,11 +172,13 @@ class Arg(FuncExpr):
 
 @dataclass(frozen=True, eq=False)
 class Def(FuncExpr):
-    """A named definition evaluating `body` on its arguments; equal only to itself."""
+    """A named definition evaluating `body` on its arguments; equal only to itself.
+    `call` is its VM instruction (CALL_DEF), set by the first `compile_expr`."""
 
     name: str
     arity: Arity
     body: FuncExpr
+    call: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.body.arity.is_fixed and self.body.arity != self.arity:

@@ -522,7 +522,7 @@ def print_expr(e: FuncExpr) -> str:
     if isinstance(e, Neg):
         return f"(-{print_expr(e.e)})"
     if isinstance(e, Apply):
-        # one argument, one frame, as in Apply._eval
+        # one argument, one frame per level: pre-3.12 comprehensions add one
         a = e.args
         args = print_expr(a[0]) if len(a) == 1 else ", ".join([print_expr(x) for x in a])
         return f"{print_expr(e.callee)}({args})"

@@ -231,12 +231,13 @@ _TOWER_OPS = {
 
 def _tower_code(t: str, op: ArithOp, w: int, xs: list[str], ys: list[str]) -> list[str]:
     """Statements that bind t_0 .. t_{w-1} to `xs op ys` on the component
-    expressions xs and ys, by `_TOWER_OPS`.  A complex or quaternion `/`
-    binds the divisor's squared norm tn and divides by it: a complex one's
-    numerators, a quaternion one's divisor to its inverse ti0 .. ti3.  It
-    tests tn once: plain `/` where tn is nonzero (NaN and infinity included,
-    where `/` does not raise), `ieee_div` (which the code's namespace binds)
-    only where it is zero."""
+    expressions xs and ys, by `_TOWER_OPS`; a complex `^` calls `cpow`.  A
+    complex or quaternion `/` binds the divisor's squared norm tn and divides
+    by it: a complex one's numerators, a quaternion one's divisor to its
+    inverse ti0 .. ti3, testing tn once: plain `/` where tn is nonzero (NaN
+    and infinity too), `ieee_div` where it is zero.  The namespace binds both."""
+    if op is ArithOp.POW:
+        return [f"{t}_0, {t}_1 = cpow({', '.join(xs + ys)})"]
     if op is not ArithOp.DIV:
         return [f"{t}_{j} = " + s.format(a=xs, b=ys) for j, s in enumerate(_TOWER_OPS[op, w])]
     if w == 2:
@@ -309,7 +310,7 @@ def _pair_kernels() -> dict:
         if w == 1 or (w == 4 and op is ArithOp.POW):
             continue  # the scalar branch of `value_binop`, and _qpow below
         xs, ys = ([f"{v}.{f}" for f in fs] + ["0.0"] * (w - len(fs)) for v, fs in (("a", fa), ("b", fb)))
-        code = [f"t_0, t_1 = cpow({', '.join(xs + ys)})"] if op is ArithOp.POW else _tower_code("t", op, w, xs, ys)
+        code = _tower_code("t", op, w, xs, ys)
         code += [f"r = new(kind{w})", *(f"set{w}_{j}(r, t_{j})" for j in range(w)), "return r"]
         name = f"{op.name.lower()}_{ka.__name__.lower()}_{kb.__name__.lower()}"
         exec(f"def {name}(a, b):\n    " + "\n    ".join(code), ns)

@@ -20,8 +20,8 @@ END_FRAME.  Instructions with a small index or arity, an operator or a
 builtin name as payload are built once, at import.  Compiling a tree and
 running its frames cost no Python frame per level, so composition depth is
 unbounded there; compiling a definition's body, nested CALL_DEFs and the
-tree walker recurse.  A definition's body is compiled once, and each
-reference runs it on F.
+tree walker recurse.  A `Def` keeps its body's CALL_DEF instruction as
+`call`, built by the first compile that meets it; each reference emits it.
 `compile_expr`'s programs are valid by construction and are not validated;
 `run` validates any other program before its first run.  Runs change only a
 program's lane state (below), and are re-entrant: concurrent runs are safe.
@@ -39,15 +39,15 @@ signature and the constants' types are all exactly `Scalar`, `Complex` or
 at least one `Vector` (a vector signature).  Every value's kind is then
 known, and a value is 1, 2 or 4 float locals; frames, argument loads and
 promotion (padding with 0.0) are only names.  Negation is inline, and so
-are `+ - *` and complex and quaternion `/`: the statements that
+are `+ - * /` and complex `^` (one `values._cpow_parts` call): scalar `/`
+with `values._ieee_div` where it raises, the rest as the statements that
 `values._tower_code` writes from `values._TOWER_OPS`, the table that also
-generates the tree walker's kernels, on the float locals.  Scalar `/`,
-scalar `^` and scalar builtins are their real kernel: the C function, and
-the repair where it raises; a `^` by a constant finite non-integer exponent
-first maps a negative finite base to NaN, the repair's answer.  Complex `^`
-calls `values._cpow_parts` on the float locals, and a quaternion `^` whose exponent is a `Scalar` constant
-from 0 to `_POW_UNROLL` is `_qpow`'s square-and-multiply unrolled into
-inline Hamilton products.  The rest (other quaternion `^`, complex and
+generates the tree walker's kernels.  Scalar `^` and scalar builtins are
+their real kernel: the C function, and the repair where it raises; a `^` by
+a constant finite non-integer exponent first maps a negative finite base to
+NaN, the repair's answer.  A quaternion `^` whose exponent is a `Scalar`
+constant from 0 to `_POW_UNROLL` is `_qpow`'s square-and-multiply unrolled
+into inline Hamilton products.  The rest (other quaternion `^`, complex and
 quaternion builtins, scans, CALL_DEF) boxes its operands, calls the kernel
 or the body's lane, and unpacks the result by its known kind.  `run` tries
 the all-`Scalar` lane first, with no signature lookup; it counts the runs
@@ -56,21 +56,20 @@ builds the run's lane.  `Scalar` subclasses and leaves stay laneless.
 A vector signature's lane is one `for` loop over the elements (a
 `zip(..., strict=True)` of the vector arguments and constants that an
 operator reads or the program returns, if several) in which each element
-runs the width-1 code above, with `/` inline as well; a scan is a running
-local started at its identity, and an instruction whose operands do not
-vary per element runs once, before the loop.  The loop reads kernels and
-constants as locals (keyword-only defaults), and no tuple is built per
-operator.  A vector program that has a CALL_DEF or a polymorphic frame,
-scans a scalar, or returns a value that does not vary per element keeps
-the loop.  A lane has no error path: if it raises (a kind error, or
-vectors of different lengths, say), `run` re-runs the loop, which raises
-the exact error (or answers, where those vectors never meet); with no
-leaves, nothing impure runs twice.
+runs the width-1 code above; a scan is a running local started at its
+identity, and an instruction whose operands do not vary per element runs
+once, before the loop.  The loop reads kernels and constants as locals
+(keyword-only defaults), and no tuple is built per operator.  A vector
+program that has a CALL_DEF or a polymorphic frame, scans a scalar, or
+returns a value that does not vary per element keeps the loop.  A lane has no error path: if it
+raises (a kind error, or vectors of different lengths, say), `run` re-runs
+the loop, which raises the exact error (or answers, where those vectors
+never meet); with no leaves, nothing impure runs twice.
 Contract: a lane does the loop's IEEE operations in the loop's order
 (for each element, in a vector lane), so its result is bit-identical
 (`float.hex` per component) to the loop's.
-Counting and building are not locked: two threads may each build a lane,
-and either one is correct.
+Counting, building and compiling a `Def` are not locked: two threads may
+each build a lane or a body, and either one is correct.
 """
 
 from __future__ import annotations
@@ -78,7 +77,6 @@ from __future__ import annotations
 import json
 import math
 import time
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -205,8 +203,6 @@ class Program:
             raise InvalidProgramError(f"program leaves {depth} values on the stack, expected 1")
 
 
-_body_programs: weakref.WeakKeyDictionary[Def, Program] = weakref.WeakKeyDictionary()
-
 # Instructions whose payload is an index or arity below _INTERNED, an operator
 # or a builtin name, built once: building an Instr costs ten bare tuples.
 _INTERNED = 256
@@ -248,9 +244,9 @@ def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
             push(_NEGATE_INSTR)
             push(n.e)
         elif t is Def:
-            if (body := _body_programs.get(n)) is None:
-                body = _body_programs[n] = compile_expr(n.body, n.arity)
-            emit(Instr(_CALL_DEF, body))
+            if n.call is None:
+                object.__setattr__(n, "call", Instr(_CALL_DEF, compile_expr(n.body, n.arity)))
+            emit(n.call)
         elif t is Leaf:
             emit(Instr(_CALL_LEAF, len(leaves)))
             leaves.append(n)
@@ -380,18 +376,15 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             x = stack[-1]
             w = max(x[1], y[1])
             xs, ys = (comps(v) + ["0.0"] * (w - v[1]) for v in (x, y))
-            if w == 1 and (a, w) not in _TOWER_OPS:  # scalar / and ^; a vector lane's / is inline
-                raw = f"{x[0]}_0 / {y[0]}_0" if vector and a is ArithOp.DIV else ""
+            if w == 1 and (a, w) not in _TOWER_OPS:  # scalar / (inline) and ^
+                raw = f"{x[0]}_0 / {y[0]}_0" if a is ArithOp.DIV else ""
                 if a is ArithOp.POW and type(c := ns.get(y[0])) is Scalar and math.isfinite(c.x) and not c.x.is_integer():
                     # a constant non-integer exponent: a negative finite base's NaN is inline, not raised
                     ns["nan"], ns["inf"] = math.nan, math.inf
                     raw = f"nan if -inf < {x[0]}_0 < 0.0 else k_POW({x[0]}_0, {y[0]}_0)"
                 stack[-1] = kernel(t, a.name, _REAL_OPS[a], x, y, raw=raw)
-            elif a is not ArithOp.POW:
+            elif a is not ArithOp.POW or w == 2:
                 stack[-1] = inline(t, a, xs, ys)
-            elif w == 2:
-                lines.append(f"    {t}_0, {t}_1 = cpow({', '.join(xs + ys)})")
-                stack[-1] = (t, 2)
             elif x[1] == 4 and type(c := ns.get(y[0])) is Scalar and c.x in range(_POW_UNROLL + 1):
                 # y is a constant (of the stack's names, ns binds only theirs): _qpow unrolled
                 acc, base, n, k = ("1.0", "0.0", "0.0", "0.0"), xs, int(c.x), 0

@@ -1,6 +1,7 @@
 """Stack machine: compilation scheme, static checks, differential equivalence."""
 
 import collections
+import gc
 import io
 import json
 import math
@@ -481,9 +482,42 @@ def test_definitions_run_in_the_vm(monkeypatch):
     assert run(p, (Scalar(0.0),)) == Scalar(8.0)
     for name in "fgh":
         d = session.env.lookup(name)
-        body = funcalg.vm._body_programs[d]
+        body = d.call.a
         loads = [ins for ins in body.instructions if ins.op is Op.LOAD_ARG]
         assert len(loads) == _arg_refs(d.body) == 2
+
+
+def test_a_definition_holds_its_compiled_call():
+    x, = params(1)
+    d = Def("f", Arity(1), x * x + 1.0)
+    fresh = Def("f", Arity(1), d.body)
+    assert d.call is None
+    p, q = compile_expr(d + 2.0), compile_expr(apply_expr(d, [d]))
+    calls = [ins for prog in (p, q) for ins in prog.instructions if ins.op is Op.CALL_DEF]
+    assert len(calls) == 3 and all(ins is d.call for ins in calls)
+    assert run(p, (Scalar(3.0),)) == Scalar(12.0) and run(q, (Scalar(2.0),)) == Scalar(26.0)
+
+    # a twin of the same name and body compiles its own body, equal but not shared
+    twin = Def("f", Arity(1), d.body)
+    compile_expr(twin)
+    assert twin.call is not d.call and twin.call.a is not d.call.a and twin.call.a == d.call.a
+
+    # the field shows in neither repr nor equality: a Def is equal only to itself
+    assert repr(d) == repr(fresh) == repr(twin) and "call" not in repr(d)
+    assert d == d and d != fresh and d != twin and hash(d) == object.__hash__(d)
+
+    # a body lives exactly as long as its Def and the programs that call it.
+    # Program has slots and no weak reference slot: count the live programs
+    # equal to the two bodies instead, before and after dropping their Defs.
+    probe = compile_expr(fresh.body, Arity(1))
+
+    def bodies():
+        gc.collect()
+        return sum(type(o) is Program and o == probe for o in gc.get_objects())
+
+    before = bodies()
+    del d, twin, p, q, calls
+    assert before - bodies() == 2
 
 
 def test_errors_inside_definitions_match_across_backends():
