@@ -41,6 +41,8 @@ class Arity:
     n: int | None
 
     def __post_init__(self):
+        if self.n is not None and (type(self.n) is bool or not isinstance(self.n, int)):
+            raise TypeError(f"an arity is an int or None, not {type(self.n).__name__}")
         if self.n is not None and self.n < 1:
             raise ValueError("fixed arity must be at least 1")
 
@@ -309,7 +311,7 @@ def lift_function(name: str, arity: int, body: Callable[..., Value]) -> FuncExpr
     An exception from `body` that is not a `FuncalgError` propagates
     unchanged (the same object) through `evaluate` and `run`; the CLI
     reports it in one line with exit status 2."""
-    return Leaf(name, Arity(int(arity)), body)
+    return Leaf(name, Arity(arity), body)
 
 
 def const_expr(v: Value) -> FuncExpr:

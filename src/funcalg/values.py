@@ -90,39 +90,16 @@ class Quaternion(Value):
             object.__setattr__(self, name, float(getattr(self, name)))
 
 
-# Kernel results of all four kinds are already floats (vectors: non-empty tuples
-# of floats): store them as is.  Host inputs go through the coercing constructors.
-_set_scalar_x, _set_vector_xs = Scalar.x.__set__, Vector.xs.__set__
-_set_re, _set_im = Complex.re.__set__, Complex.im.__set__
-_set_w, _set_qx, _set_qy, _set_qz = (getattr(Quaternion, n).__set__ for n in "wxyz")
-
-
-def _scalar(x: float) -> Scalar:
-    s = object.__new__(Scalar)
-    _set_scalar_x(s, x)
-    return s
+# A vector's elements from a kernel are already a non-empty tuple of floats:
+# `_vector` stores them as is, as the generated `_scalar`, `_complex` and
+# `_quat` below store kernel floats.  Host inputs go through the constructors.
+_set_vector_xs = Vector.xs.__set__
 
 
 def _vector(xs: tuple[float, ...]) -> Vector:
     v = object.__new__(Vector)
     _set_vector_xs(v, xs)
     return v
-
-
-def _complex(re: float, im: float) -> Complex:
-    c = object.__new__(Complex)
-    _set_re(c, re)
-    _set_im(c, im)
-    return c
-
-
-def _quat(w: float, x: float, y: float, z: float) -> Quaternion:
-    q = object.__new__(Quaternion)
-    _set_w(q, w)
-    _set_qx(q, x)
-    _set_qy(q, y)
-    _set_qz(q, z)
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -193,64 +170,6 @@ def _nan_bases(x, y) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Tower arithmetic, written once.  `_TOWER_OPS` holds each complex and
-# quaternion + - * / component formula as a template, and `_tower_code`
-# turns it into Python statements: `_PAIR_KERNELS` below is generated from
-# them at import, and the lanes of `vm` inline the same statements on float
-# locals, so both do the same IEEE operations in the same order.  Promotion
-# (Scalar -> Complex -> Quaternion) is the same in both: the narrower
-# operand's fields are padded with 0.0.
-
-# The value types held as float fields, and their fields: a value of width w
-# (its number of fields) is w floats, and `_WIDTH_KINDS[w]` is its type.
-_FIELDS = {Scalar: ("x",), Complex: ("re", "im"), Quaternion: ("w", "x", "y", "z")}
-_WIDTH_KINDS = {len(f): t for t, f in _FIELDS.items()}
-
-# The Hamilton product, which is not commutative.
-_HAMILTON = (
-    "{a[0]} * {b[0]} - {a[1]} * {b[1]} - {a[2]} * {b[2]} - {a[3]} * {b[3]}",
-    "{a[0]} * {b[1]} + {a[1]} * {b[0]} + {a[2]} * {b[3]} - {a[3]} * {b[2]}",
-    "{a[0]} * {b[2]} - {a[1]} * {b[3]} + {a[2]} * {b[0]} + {a[3]} * {b[1]}",
-    "{a[0]} * {b[3]} + {a[1]} * {b[2]} - {a[2]} * {b[1]} + {a[3]} * {b[0]}",
-)
-
-# component templates per (operator, width) on the operands' components a
-# and b, each of that width (promotion pads with 0.0); a complex / gives the
-# numerators over the divisor's squared norm, and a quaternion / is written
-# by `_tower_code` as the Hamilton product with the divisor's inverse.  Real
-# / and ^ are `_REAL_OPS` kernels, and complex and quaternion ^ are below.
-_TOWER_OPS = {
-    **{(op, w): tuple(f"{{a[{j}]}} {op.value} {{b[{j}]}}" for j in range(w))
-       for op in (ArithOp.ADD, ArithOp.SUB) for w in (1, 2, 4)},
-    (ArithOp.MUL, 1): ("{a[0]} * {b[0]}",),
-    (ArithOp.MUL, 2): ("{a[0]} * {b[0]} - {a[1]} * {b[1]}", "{a[0]} * {b[1]} + {a[1]} * {b[0]}"),
-    (ArithOp.DIV, 2): ("{a[0]} * {b[0]} + {a[1]} * {b[1]}", "{a[1]} * {b[0]} - {a[0]} * {b[1]}"),
-    (ArithOp.MUL, 4): _HAMILTON,
-}
-
-
-def _tower_code(t: str, op: ArithOp, w: int, xs: list[str], ys: list[str]) -> list[str]:
-    """Statements that bind t_0 .. t_{w-1} to `xs op ys` on the component
-    expressions xs and ys, by `_TOWER_OPS`; a complex `^` calls `cpow`.  A
-    complex or quaternion `/` binds the divisor's squared norm tn and divides
-    by it: a complex one's numerators, a quaternion one's divisor to its
-    inverse ti0 .. ti3, testing tn once: plain `/` where tn is nonzero (NaN
-    and infinity too), `ieee_div` where it is zero.  The namespace binds both."""
-    if op is ArithOp.POW:
-        return [f"{t}_0, {t}_1 = cpow({', '.join(xs + ys)})"]
-    if op is not ArithOp.DIV:
-        return [f"{t}_{j} = " + s.format(a=xs, b=ys) for j, s in enumerate(_TOWER_OPS[op, w])]
-    if w == 2:
-        names, nums = [f"{t}_0", f"{t}_1"], [s.format(a=xs, b=ys) for s in _TOWER_OPS[op, w]]
-    else:
-        names, nums = [f"{t}i{j}" for j in range(4)], [f"{'-' * (j > 0)}{c}" for j, c in enumerate(ys)]
-    code = [f"{t}n = " + " + ".join(f"{c} * {c}" for c in ys),
-            f"if {t}n: " + "; ".join(f"{x} = ({e}) / {t}n" for x, e in zip(names, nums)),
-            "else: " + "; ".join(f"{x} = ieee_div({e}, {t}n)" for x, e in zip(names, nums))]
-    return code if w == 2 else code + _tower_code(t, ArithOp.MUL, 4, xs, names)
-
-
-# ---------------------------------------------------------------------------
 # Complex exp, log and ^ on floats, total as the real kernels are: Inf and
 # NaN components instead of raising.  The pair kernels, complex sqrt and the
 # complex lanes of `vm` all call _cpow_parts, so complex ^ has one
@@ -289,29 +208,120 @@ def _cpow_parts(a0: float, a1: float, b0: float, b1: float) -> tuple[float, floa
 
 
 # ---------------------------------------------------------------------------
+# Tower arithmetic, written once.  Generated code holds a value of width w
+# (its number of float fields) as the locals x_0 .. x_{w-1}: `_read_code`
+# reads a boxed value into them, `_build_code` builds one from them, and
+# `_tower_code` writes each complex and quaternion + - * / component formula
+# of `_TOWER_OPS` as statements on them, padding the narrower operand with
+# 0.0 (promotion: Scalar -> Complex -> Quaternion).  The builders `_scalar`,
+# `_complex` and `_quat`, the pair kernels below and the lanes of `vm` are
+# all generated from these, in the namespace `_CODE_NS`, so they do the same
+# IEEE operations in the same order.
+
+# The value types held as float fields, and their fields; `_WIDTH_KINDS[w]`
+# is the type of width w.
+_FIELDS = {t: t.__slots__ for t in (Scalar, Complex, Quaternion)}
+_WIDTH_KINDS = {len(f): t for t, f in _FIELDS.items()}
+
+# The names that generated code calls: `new(kind{w})` makes a bare value of
+# width w, and `set{w}_{j}` stores its field j as is (kernel results are
+# already floats); `_tower_code` calls `ieee_div` and `cpow`.
+_CODE_NS = {"new": object.__new__, "ieee_div": _ieee_div, "cpow": _cpow_parts,
+            **{f"kind{len(fs)}": t for t, fs in _FIELDS.items()},
+            **{f"set{len(fs)}_{j}": getattr(t, f).__set__ for t, fs in _FIELDS.items() for j, f in enumerate(fs)}}
+
+
+def _comps(x: str, w: int) -> list[str]:
+    """The locals x_0 .. x_{w-1} that hold a value x of width w."""
+    return [f"{x}_{j}" for j in range(w)]
+
+
+def _read_code(x: str, w: int) -> list[str]:
+    """Statements that bind x's locals to the fields of the boxed value x,
+    reading each field once: one statement per field, which builds no tuple."""
+    return [f"{x}_{j} = {x}.{f}" for j, f in enumerate(_FIELDS[_WIDTH_KINDS[w]])]
+
+
+def _build_code(x: str, w: int) -> list[str]:
+    """Statements that bind x to a new value of width w built from its locals."""
+    return [f"{x} = new(kind{w})", *(f"set{w}_{j}({x}, {x}_{j})" for j in range(w))]
+
+
+def _builder(name: str, w: int):
+    ns = dict(_CODE_NS)
+    exec(f"def {name}({', '.join(_comps('v', w))}):\n    " + "\n    ".join(_build_code("v", w) + ["return v"]), ns)
+    return ns[name]
+
+
+_scalar, _complex, _quat = (_builder(f"_{n}", w) for n, w in (("scalar", 1), ("complex", 2), ("quat", 4)))
+
+# The Hamilton product, which is not commutative.
+_HAMILTON = (
+    "{a[0]} * {b[0]} - {a[1]} * {b[1]} - {a[2]} * {b[2]} - {a[3]} * {b[3]}",
+    "{a[0]} * {b[1]} + {a[1]} * {b[0]} + {a[2]} * {b[3]} - {a[3]} * {b[2]}",
+    "{a[0]} * {b[2]} - {a[1]} * {b[3]} + {a[2]} * {b[0]} + {a[3]} * {b[1]}",
+    "{a[0]} * {b[3]} + {a[1]} * {b[2]} - {a[2]} * {b[1]} + {a[3]} * {b[0]}",
+)
+
+# component templates per (operator, width) on the operands' components a
+# and b, each of that width; a complex / gives the numerators over the
+# divisor's squared norm, and a quaternion / is written by `_tower_code` as
+# the Hamilton product with the divisor's inverse.  Real / and ^ are
+# `_REAL_OPS` kernels, complex ^ is `cpow` and quaternion ^ is `_qpow` below.
+_TOWER_OPS = {
+    **{(op, w): tuple(f"{{a[{j}]}} {op.value} {{b[{j}]}}" for j in range(w))
+       for op in (ArithOp.ADD, ArithOp.SUB) for w in (1, 2, 4)},
+    (ArithOp.MUL, 1): ("{a[0]} * {b[0]}",),
+    (ArithOp.MUL, 2): ("{a[0]} * {b[0]} - {a[1]} * {b[1]}", "{a[0]} * {b[1]} + {a[1]} * {b[0]}"),
+    (ArithOp.DIV, 2): ("{a[0]} * {b[0]} + {a[1]} * {b[1]}", "{a[1]} * {b[0]} - {a[0]} * {b[1]}"),
+    (ArithOp.MUL, 4): _HAMILTON,
+}
+
+
+def _tower_code(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> list[str]:
+    """Statements that bind t_0 .. t_{w-1} to `xs op ys` on the component
+    expressions xs and ys, the narrower padded with 0.0 to the width w of the
+    wider, by `_TOWER_OPS`; a complex `^` calls `cpow`.  A complex or
+    quaternion `/` binds the divisor's squared norm tn and divides by it: a
+    complex one's numerators, a quaternion one's divisor to its inverse
+    ti0 .. ti3, testing tn once: plain `/` where tn is nonzero (NaN and
+    infinity too), `ieee_div` where it is zero."""
+    w = max(len(xs), len(ys))
+    xs, ys = (list(v) + ["0.0"] * (w - len(v)) for v in (xs, ys))
+    if op is ArithOp.POW:
+        return [f"{t}_0, {t}_1 = cpow({', '.join(xs + ys)})"]
+    if op is not ArithOp.DIV:
+        return [f"{t}_{j} = " + s.format(a=xs, b=ys) for j, s in enumerate(_TOWER_OPS[op, w])]
+    if w == 2:
+        names, nums = [f"{t}_0", f"{t}_1"], [s.format(a=xs, b=ys) for s in _TOWER_OPS[op, w]]
+    else:
+        names, nums = [f"{t}i{j}" for j in range(4)], [f"{'-' * (j > 0)}{c}" for j, c in enumerate(ys)]
+    code = [f"{t}n = " + " + ".join(f"{c} * {c}" for c in ys),
+            f"if {t}n: " + "; ".join(f"{x} = ({e}) / {t}n" for x, e in zip(names, nums)),
+            "else: " + "; ".join(f"{x} = ieee_div({e}, {t}n)" for x, e in zip(names, nums))]
+    return code if w == 2 else code + _tower_code(t, ArithOp.MUL, xs, names)
+
+
+# ---------------------------------------------------------------------------
 # The tower's kernels by kind pair: `_PAIR_KERNELS[op, kind_a, kind_b]` for
 # every pair of Scalar, Complex and Quaternion with a Complex or Quaternion
 # side.  Each + - * / (and complex ^, by _cpow_parts) is one generated
-# function that reads the operands' fields inline, pads the narrower one
-# with 0.0, runs `_tower_code` and builds its result inline.  Quaternion
+# function that reads each operand field once (`_read_code`), runs
+# `_tower_code` and builds its result (`_build_code`).  Quaternion
 # multiplication is the Hamilton product, and division multiplies by the
 # right operand's inverse.  A quaternion ^ takes only a Scalar exponent
 # (_qpow); lanes unroll its loop for a constant exponent into the same
 # `_tower_code` products.
 
 def _pair_kernels() -> dict:
-    ns = {"ieee_div": _ieee_div, "cpow": _cpow_parts, "new": object.__new__}
-    for w, kind in _WIDTH_KINDS.items():
-        ns[f"kind{w}"] = kind
-        ns.update((f"set{w}_{j}", getattr(kind, f).__set__) for j, f in enumerate(_FIELDS[kind]))
-    table = {}
+    ns, table = dict(_CODE_NS), {}
     for (ka, fa), (kb, fb), op in product(_FIELDS.items(), _FIELDS.items(), ArithOp):
-        w = max(len(fa), len(fb))
+        wa, wb = len(fa), len(fb)
+        w = max(wa, wb)
         if w == 1 or (w == 4 and op is ArithOp.POW):
             continue  # the scalar branch of `value_binop`, and _qpow below
-        xs, ys = ([f"{v}.{f}" for f in fs] + ["0.0"] * (w - len(fs)) for v, fs in (("a", fa), ("b", fb)))
-        code = _tower_code("t", op, w, xs, ys)
-        code += [f"r = new(kind{w})", *(f"set{w}_{j}(r, t_{j})" for j in range(w)), "return r"]
+        code = _read_code("a", wa) + _read_code("b", wb) + _tower_code("t", op, _comps("a", wa), _comps("b", wb))
+        code += _build_code("t", w) + ["return t"]
         name = f"{op.name.lower()}_{ka.__name__.lower()}_{kb.__name__.lower()}"
         exec(f"def {name}(a, b):\n    " + "\n    ".join(code), ns)
         table[op, ka, kb] = ns[name]
@@ -550,17 +560,6 @@ def same_value(a: Value, b: Value) -> bool:
     """Equality with NaN components treated as equal (NaN-class equality)."""
     if type(a) is not type(b):
         return False
-    if isinstance(a, Scalar):
-        return _same_real(a.x, b.x)
     if isinstance(a, Vector):
-        return len(a.xs) == len(b.xs) and all(
-            _same_real(x, y) for x, y in zip(a.xs, b.xs)
-        )
-    if isinstance(a, Complex):
-        return _same_real(a.re, b.re) and _same_real(a.im, b.im)
-    return (
-        _same_real(a.w, b.w)
-        and _same_real(a.x, b.x)
-        and _same_real(a.y, b.y)
-        and _same_real(a.z, b.z)
-    )
+        return len(a.xs) == len(b.xs) and all(map(_same_real, a.xs, b.xs))
+    return all(_same_real(getattr(a, f), getattr(b, f)) for f in _FIELDS[_kind(a)])

@@ -37,19 +37,21 @@ function per argument-kind signature (its arguments' exact types), if the
 signature and the constants' types are all exactly `Scalar`, `Complex` or
 `Quaternion` (a tower signature) or all exactly `Scalar` or `Vector`, with
 at least one `Vector` (a vector signature).  Every value's kind is then
-known, and a value is 1, 2 or 4 float locals; frames, argument loads and
-promotion (padding with 0.0) are only names.  Negation is inline, and so
-are `+ - * /` and complex `^` (one `values._cpow_parts` call): scalar `/`
-with `values._ieee_div` where it raises, the rest as the statements that
-`values._tower_code` writes from `values._TOWER_OPS`, the table that also
-generates the tree walker's kernels.  Scalar `^` and scalar builtins are
-their real kernel: the C function, and the repair where it raises; a `^` by
-a constant finite non-integer exponent first maps a negative finite base to
-NaN, the repair's answer.  A quaternion `^` whose exponent is a `Scalar`
-constant from 0 to `_POW_UNROLL` is `_qpow`'s square-and-multiply unrolled
-into inline Hamilton products.  The rest (other quaternion `^`, complex and
-quaternion builtins, scans, CALL_DEF) boxes its operands, calls the kernel
-or the body's lane, and unpacks the result by its known kind.  `run` tries
+known, and a value is 1, 2 or 4 float locals; frames and argument loads
+are only names.  Lanes are written in the vocabulary of `values` that also
+generates the tree walker's kernels: `_read_code` reads a boxed value's
+fields into locals, `_build_code` builds a value from them inline, and
+`_tower_code` writes `+ - * /` and complex `^` (one `_cpow_parts` call)
+from `_TOWER_OPS`, padding the narrower operand with 0.0 (promotion).
+Negation is inline too, and scalar `/`, with `_ieee_div` where it raises.
+Scalar `^` and scalar builtins are their real kernel: the C function, and
+the repair where it raises; a `^` by a constant finite non-integer exponent
+first maps a negative finite base to NaN, the repair's answer.  A
+quaternion `^` whose exponent is a `Scalar` constant from 0 to
+`_POW_UNROLL` is `_qpow`'s square-and-multiply unrolled into inline
+Hamilton products.  The rest (other quaternion `^`, complex and quaternion
+builtins, scans, CALL_DEF) builds its operands, calls the kernel or the
+body's lane, and reads the result's fields by its known kind.  `run` tries
 the all-`Scalar` lane first, with no signature lookup; it counts the runs
 that find no lane and, from the `_LANE_AFTER`-th (never at compile time),
 builds the run's lane.  `Scalar` subclasses and leaves stay laneless.
@@ -88,8 +90,8 @@ from .errors import (
     FuncalgError,
     InvalidProgramError,
 )
-from .values import ArithOp, BUILTIN_NAMES, Complex, Quaternion, Scalar, Value, Vector, apply_builtin, format_value, same_value, value_binop, value_neg
-from .values import _FIELDS, _REAL_OPS, _SCALAR_KERNELS, _SCAN_KERNELS, _TOWER_OPS, _WIDTH_KINDS, _complex, _cpow_parts, _ieee_div, _quat, _scalar, _tower_code, _vector
+from .values import ArithOp, BUILTIN_NAMES, Scalar, Value, Vector, apply_builtin, format_value, same_value, value_binop, value_neg
+from .values import _CODE_NS, _FIELDS, _REAL_OPS, _SCALAR_KERNELS, _SCAN_KERNELS, _TOWER_OPS, _WIDTH_KINDS, _build_code, _comps, _read_code, _tower_code, _vector
 
 
 class Op(Enum):
@@ -294,23 +296,13 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
     vector = p.arity.is_fixed and Vector in kinds and all(t is Scalar or t is Vector for t in kinds)
     if p.leaves or not (vector or all(t in _FIELDS for t in kinds)):
         return False
-    ns: dict[str, object] = {
-        "ieee_div": _ieee_div,
-        "value_binop": value_binop,
-        "cpow": _cpow_parts,
-        "apply_builtin": apply_builtin,
-        "POW": ArithOp.POW,
-        "box1": _scalar,
-        "box2": _complex,
-        "box4": _quat,
-        "boxv": _vector,
-    }
+    ns = {**_CODE_NS, "value_binop": value_binop, "apply_builtin": apply_builtin, "POW": ArithOp.POW, "boxv": _vector}
     helpers = len(ns)
     for k, c in enumerate(p.constants):
         ns[f"c{k}"] = c
         for j, f in enumerate(_FIELDS.get(type(c), ())):
             ns[f"c{k}_{j}"] = getattr(c, f)  # a float, not its repr: inf, nan and -0.0 survive
-    comps = lambda v: [f"{v[0]}_{j}" for j in range(v[1])]
+    comps = lambda v: _comps(*v)
     lines = pre = []  # the code to emit to: pre, or a vector lane's loop
     loop: list[str] = []
     boxed = set(ns)  # names bound to boxed values (and others): the constants c<k>
@@ -324,8 +316,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         """Bind x to expr's boxed value of width w (if given), then read its fields."""
         if expr:
             lines.append(f"    {x} = {expr}")
-        fields = ", ".join(f"{x}.{f}" for f in _FIELDS[_WIDTH_KINDS[w]])
-        lines.append(f"    {', '.join(comps((x, w)))} = {fields}")
+        lines.extend("    " + s for s in _read_code(x, w))
         boxed.add(x)
         return x, w
 
@@ -345,12 +336,12 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
 
     def inline(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> tuple[str, int]:
         """Bind t_0 .. to `xs op ys` on the components xs and ys (`_tower_code`)."""
-        lines.extend("    " + s for s in _tower_code(t, op, len(xs), xs, ys))
-        return t, len(xs)
+        lines.extend("    " + s for s in _tower_code(t, op, xs, ys))
+        return t, max(len(xs), len(ys))
 
     def box(v: tuple[str, int]) -> str:
         if v[0] not in boxed:
-            lines.append(f"    {v[0]} = box{v[1]}({', '.join(comps(v))})")
+            lines.extend("    " + s for s in _build_code(*v))
             boxed.add(v[0])
         return v[0]
 
@@ -375,7 +366,6 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             y = stack.pop()
             x = stack[-1]
             w = max(x[1], y[1])
-            xs, ys = (comps(v) + ["0.0"] * (w - v[1]) for v in (x, y))
             if w == 1 and (a, w) not in _TOWER_OPS:  # scalar / (inline) and ^
                 raw = f"{x[0]}_0 / {y[0]}_0" if a is ArithOp.DIV else ""
                 if a is ArithOp.POW and type(c := ns.get(y[0])) is Scalar and math.isfinite(c.x) and not c.x.is_integer():
@@ -384,10 +374,10 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
                     raw = f"nan if -inf < {x[0]}_0 < 0.0 else k_POW({x[0]}_0, {y[0]}_0)"
                 stack[-1] = kernel(t, a.name, _REAL_OPS[a], x, y, raw=raw)
             elif a is not ArithOp.POW or w == 2:
-                stack[-1] = inline(t, a, xs, ys)
+                stack[-1] = inline(t, a, comps(x), comps(y))
             elif x[1] == 4 and type(c := ns.get(y[0])) is Scalar and c.x in range(_POW_UNROLL + 1):
                 # y is a constant (of the stack's names, ns binds only theirs): _qpow unrolled
-                acc, base, n, k = ("1.0", "0.0", "0.0", "0.0"), xs, int(c.x), 0
+                acc, base, n, k = ("1.0", "0.0", "0.0", "0.0"), comps(x), int(c.x), 0
                 while n:
                     if n & 1:
                         acc = comps(inline(f"{t}m{k}", ArithOp.MUL, acc, base))

@@ -13,6 +13,7 @@ from funcalg import (
     ArithOp,
     Arity,
     ArityMismatchError,
+    BinOp,
     Const,
     Def,
     Leaf,
@@ -394,3 +395,32 @@ def test_trees_are_immutable():
     tree = x + 1
     with pytest.raises(AttributeError):
         tree.op = ArithOp.SUB
+
+
+def test_lift_function_rejects_a_float_arity():
+    with pytest.raises(TypeError):
+        lift_function("f", 2.9, lambda x, y: x)  # not truncated to a 2-argument leaf
+
+
+def test_lift_function_rejects_a_str_or_bool_arity():
+    for arity in ("1", True):
+        with pytest.raises(TypeError):
+            lift_function("g", arity, lambda x: x)
+
+
+def test_arity_is_an_int_or_none():
+    for n in (2.5, True, False, "2"):
+        with pytest.raises(TypeError):
+            Arity(n)
+    assert Arity(2).n == 2 and Arity(None) == POLYMORPHIC
+
+
+def test_a_number_on_the_left_of_an_operator_is_a_constant():
+    x, = params(1)
+    assert 3 + x == BinOp(ADD, Const(Scalar(3.0)), x)
+
+
+def test_a_boolean_operand_is_not_a_value():
+    x, = params(1)
+    with pytest.raises(TypeError, match="booleans are not values"):
+        x + True

@@ -380,3 +380,31 @@ def test_keyboard_interrupt_is_not_caught(monkeypatch):
     _fail_once(monkeypatch, KeyboardInterrupt())
     with pytest.raises(KeyboardInterrupt):
         eval_once(_config(), "1 + 1")
+
+
+def test_a_script_that_is_not_utf8_exits_3(tmp_path, capsys):
+    script = tmp_path / "latin1.fa"
+    script.write_bytes("1 + 1 # caf\xe9\n".encode("latin-1"))
+    assert main(["-f", str(script)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is not UTF-8" in captured.err
+
+
+def test_quit_stops_a_script_with_status_0(tmp_path, capsys):
+    script = tmp_path / "quit.fa"
+    script.write_text("1 + 1\n:quit\n2 + 2\n")
+    assert main(["-f", str(script)]) == 0
+    assert capsys.readouterr().out == "2\n"
+
+
+def test_an_invalid_config_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--digits", "0", "-e", "1"])
+    assert exit_info.value.code == 2
+    assert "digits" in capsys.readouterr().err
+
+
+def test_main_without_arguments_reads_the_repl_from_stdin(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("2 * 3\n"))
+    assert main([]) == 0
+    assert capsys.readouterr().out == "6\n"

@@ -32,6 +32,7 @@ from funcalg import (
     Vector,
     apply_expr,
     builtin,
+    const_expr,
     evaluate,
     evaluate_constant,
     lift_function,
@@ -682,3 +683,12 @@ def test_print_expr_17_digit_scalars_round_trip():
         tree = Const(Scalar(x))
         back = parse_expression(print_expr(tree), env)
         assert back == tree and back.v.x == x
+
+
+def test_print_expr_prints_a_nan_constant_as_nan():
+    assert print_expr(const_expr(Scalar(math.nan))) == "NaN"
+
+
+def test_env_binds_only_expressions_and_values():
+    with pytest.raises(TypeError):
+        Env().define("f", 3)

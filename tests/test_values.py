@@ -926,3 +926,18 @@ def test_same_value_nan_class():
         Quaternion(math.nan, 0, 0, 0), Quaternion(math.nan, 0, 0, 0)
     )
     assert not same_value(Vector((1.0, 2.0)), Vector((1.0,)))
+
+
+def test_a_host_float_is_not_a_tower_value():
+    with pytest.raises(TypeError, match="not numeric tower values"):
+        value_binop(ADD, Scalar(1.0), 1.0)
+
+
+def test_same_value_reads_every_field_of_each_kind():
+    class Sub(Scalar):
+        pass
+
+    assert same_value(Complex(1.0, math.nan), Complex(1.0, math.nan))
+    assert not same_value(Complex(1.0, 2.0), Complex(1.0, -2.0))
+    assert not same_value(Quaternion(1, 2, 3, 4), Quaternion(1, 2, 3, -4))
+    assert same_value(Sub(math.nan), Sub(math.nan)) and not same_value(Sub(1.0), Sub(2.0))
