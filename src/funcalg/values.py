@@ -562,4 +562,7 @@ def same_value(a: Value, b: Value) -> bool:
         return False
     if isinstance(a, Vector):
         return len(a.xs) == len(b.xs) and all(map(_same_real, a.xs, b.xs))
-    return all(_same_real(getattr(a, f), getattr(b, f)) for f in _FIELDS[_kind(a)])
+    kind = _kind(a)
+    if kind is None:
+        raise TypeError(f"not a numeric tower value: {type(a).__name__}")
+    return all(_same_real(getattr(a, f), getattr(b, f)) for f in _FIELDS[kind])

@@ -13,8 +13,9 @@ Instruction set (operand stack before -> after; F is the current frame):
     END_FRAME         []            -> []   pops the current frame
 
 Compilation is one post-order loop over a work stack, with no constant
-folding or CSE, so a program does the tree walker's IEEE operations in its
-order: a node pushes its instruction, then its children, last child first.
+folding or CSE (lanes, below, share repeated subexpressions), so a program
+does the tree walker's IEEE operations in its order: a node pushes its
+instruction, then its children, last child first.
 A composition node compiles to its arguments, BEGIN_FRAME, the callee and
 END_FRAME.  Instructions with a small index or arity, an operator or a
 builtin name as payload are built once, at import.  Compiling a tree and
@@ -38,11 +39,16 @@ signature and the constants' types are all exactly `Scalar`, `Complex` or
 `Quaternion` (a tower signature) or all exactly `Scalar` or `Vector`, with
 at least one `Vector` (a vector signature).  Every value's kind is then
 known, and a value is 1, 2 or 4 float locals; frames and argument loads
-are only names.  Lanes are written in the vocabulary of `values` that also
-generates the tree walker's kernels: `_read_code` reads a boxed value's
-fields into locals, `_build_code` builds a value from them inline, and
-`_tower_code` writes `+ - * /` and complex `^` (one `_cpow_parts` call)
-from `_TOWER_OPS`, padding the narrower operand with 0.0 (promotion).
+are only names.  A lane computes each repeated subexpression once (local
+value numbering): an operator, builtin, negation or definition call whose
+opcode, payload and operand names (a call's: its frame's arguments) match
+an earlier one's emits no code and names that one's result, and equal
+constants (of equal bits, or a Vector: the same object) share one name.
+Lanes are written in the vocabulary of `values` that also generates the
+tree walker's kernels: `_read_code` reads a boxed value's fields into
+locals, `_build_code` builds a value from them inline, and `_tower_code`
+writes `+ - * /` and complex `^` (one `_cpow_parts` call) from
+`_TOWER_OPS`, padding the narrower operand with 0.0 (promotion).
 Negation is inline too, and scalar `/`, with `_ieee_div` where it raises.
 Scalar `^` and scalar builtins are their real kernel: the C function, and
 the repair where it raises; a `^` by a constant finite non-integer exponent
@@ -67,9 +73,12 @@ returns a value that does not vary per element keeps the loop.  A lane has no er
 raises (a kind error, or vectors of different lengths, say), `run` re-runs
 the loop, which raises the exact error (or answers, where those vectors
 never meet); with no leaves, nothing impure runs twice.
-Contract: a lane does the loop's IEEE operations in the loop's order
-(for each element, in a vector lane), so its result is bit-identical
-(`float.hex` per component) to the loop's.
+Contract: every value a lane computes is one the loop computes, from the
+same operands by the same IEEE operation (for each element, in a vector
+lane), so its result is bit-identical (`float.hex` per component) to the
+loop's.  Each lane's source is kept in `linecache` under a name of the form
+`<funcalg lane 1a2b3c4d>` (a CRC of the source), for tracebacks and
+`inspect.getsource`.
 Counting, building and compiling a `Def` are not locked: two threads may
 each build a lane or a body, and either one is correct.
 """
@@ -77,8 +86,11 @@ each build a lane or a body, and either one is correct.
 from __future__ import annotations
 
 import json
+import linecache
 import math
+import struct
 import time
+import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -258,12 +270,12 @@ def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
 
 
 # Runs of a program that find no lane before `run` builds one.  A lane took
-# 0.3-2.5 ms to build for the paper's golden programs and saved 13-31 us per
-# scalar run and 11-32 us per `tower-calls` op, so it pays for itself after
-# roughly 20-100 runs; a program run fewer times, such as a fresh definition
+# 0.3-0.9 ms to build for the paper's golden programs and saved 10-20 us per
+# scalar run and 11-31 us per `tower-calls` op, so it pays for itself after
+# roughly 20-50 runs; a program run fewer times, such as a fresh definition
 # body in a script, never builds one (CHANGES.md has the measurements).  A
-# vector lane of a `wide-vectors` program took 0.4-0.8 ms to build and saved
-# 0.5-2.9 ms per run on 1e4 elements and 7-26 ms on 1e5, so it would pay
+# vector lane of a `wide-vectors` program took 0.2-0.5 ms to build and saved
+# 0.7-3.0 ms per run on 1e4 elements and 9-30 ms on 1e5, so it would pay
 # for itself at once; it waits for the same count.
 _LANE_AFTER = 32
 
@@ -298,10 +310,15 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         return False
     ns = {**_CODE_NS, "value_binop": value_binop, "apply_builtin": apply_builtin, "POW": ArithOp.POW, "boxv": _vector}
     helpers = len(ns)
+    names = {}  # constants' names by their fields' bits (0.0 is not -0.0), a Vector's by identity
+    consts = []  # the name of each constant: equal ones share the first one's
     for k, c in enumerate(p.constants):
-        ns[f"c{k}"] = c
-        for j, f in enumerate(_FIELDS.get(type(c), ())):
-            ns[f"c{k}_{j}"] = getattr(c, f)  # a float, not its repr: inf, nan and -0.0 survive
+        fields = [getattr(c, f) for f in _FIELDS.get(type(c), ())]  # floats, not reprs: inf, nan and -0.0 survive
+        key = (type(c), struct.pack(f"{len(fields)}d", *fields)) if fields else id(c)
+        if key not in names:
+            names[key], ns[f"c{k}"] = f"c{k}", c
+            ns.update((f"c{k}_{j}", x) for j, x in enumerate(fields))
+        consts.append(names[key])
     comps = lambda v: _comps(*v)
     lines = pre = []  # the code to emit to: pre, or a vector lane's loop
     loop: list[str] = []
@@ -351,15 +368,23 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
     head = ", ".join(x for x, _ in frame) if frame else "*args"
     stack: list[tuple[str, int]] = []
     saved: list = []
+    memo = {}  # (opcode, payload, operand names) -> the value computed from them
     for ip, (op, a) in enumerate(p.instructions):
         t = f"t{ip}"
+        key = None
         if op is _BINARY or op is _CALL_PRIM or op is _NEGATE:
-            # emitted once before the loop, unless an operand varies per element
             operands = stack[-2:] if op is _BINARY else stack[-1:]
+            if (key := (op, a, *(x for x, _ in operands))) in memo:
+                stack[-len(operands):] = [memo[key]]  # computed before: the same bits, and no code
+                continue
+            # emitted once before the loop, unless an operand varies per element
             read.update(x for x, _ in operands)
             lines = loop if any(x in varying for x, _ in operands) else pre
             if lines is loop:
                 varying.add(t)
+        elif op is _CALL_DEF and (key := (op, id(a), *(x for x, _ in frame or ()))) in memo:
+            stack.append(memo[key])  # a body without leaves is pure too: the same call, run once
+            continue
         if op is _LOAD_ARG:
             stack.append(frame[a])
         elif op is _BINARY:
@@ -396,7 +421,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         elif op is _END_FRAME:
             frame = saved.pop()
         elif op is _LOAD_CONST:
-            stack.append((f"c{a}", _LANE_WIDTHS[type(p.constants[a])]))
+            stack.append((consts[a], _LANE_WIDTHS[type(p.constants[a])]))
         elif op is _CALL_PRIM:
             w = stack[-1][1]
             if w == 1 and a in _SCALAR_KERNELS:
@@ -420,6 +445,8 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         else:  # NEGATE; a program without leaves has no CALL_LEAF
             lines += [f"    {t}_{j} = -{c}" for j, c in enumerate(comps(stack[-1]))]
             stack[-1] = (t, stack[-1][1])
+        if key:
+            memo[key] = stack[-1]
     if not vector:
         pre.append(f"    return {box(stack[0])}")
     elif stack[0][0] not in varying:
@@ -433,7 +460,11 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         over = f"{sources[0]}.xs" if len(sources) == 1 else f"zip({', '.join(s + '.xs' for s in sources)}, strict=True)"
         pre += ["    out = []", "    push = out.append", f"    for {', '.join(s + '_0' for s in sources)} in {over}:"]
         pre += ["    " + s for s in loop] + [f"        push({stack[0][0]}_0)", "    return boxv(tuple(out))"]
-    exec(f"def lane({head}):\n" + "\n".join(pre), ns)
+    # the source, kept for tracebacks and `inspect.getsource` under a name it determines
+    source = f"def lane({head}):\n" + "\n".join(pre) + "\n"
+    name = f"<funcalg lane {zlib.crc32(source.encode()):08x}>"
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    exec(compile(source, name, "exec"), ns)
     lane = ns["lane"]
     lane.width = None if vector else stack[0][1]  # the result's, for the lanes that call this one
     return lane

@@ -941,3 +941,11 @@ def test_same_value_reads_every_field_of_each_kind():
     assert not same_value(Complex(1.0, 2.0), Complex(1.0, -2.0))
     assert not same_value(Quaternion(1, 2, 3, 4), Quaternion(1, 2, 3, -4))
     assert same_value(Sub(math.nan), Sub(math.nan)) and not same_value(Sub(1.0), Sub(2.0))
+
+
+def test_same_value_rejects_a_value_outside_the_tower():
+    class Other(funcalg.values.Value):
+        __slots__ = ()
+
+    with pytest.raises(TypeError, match="^not a numeric tower value: Other$"):
+        same_value(Other(), Other())

@@ -2,13 +2,18 @@
 
 import collections
 import gc
+import inspect
 import io
 import json
 import math
 import random
+import struct
 import sys
+import traceback
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import funcalg.algebra
 import funcalg.values
@@ -1077,3 +1082,131 @@ def test_vector_lane_zips_only_the_vectors_an_operator_reads(monkeypatch):
     got = lane(*args)  # called directly: no fall-back to the loop hides a raise
     assert type(got) is type(want) is Vector
     assert [v.hex() for v in got.xs] == [v.hex() for v in want.xs] == [v.hex() for v in (2.0, 4.0, 6.0)]
+
+
+# ---------------------------------------------------------------------------
+# Value numbering: a lane computes each repeated subexpression once.
+
+def test_a_lane_computes_a_repeated_builtin_call_once(monkeypatch):
+    calls = []
+    kernel = funcalg.vm.apply_builtin
+    # before the lane is built, so the lane calls the spy
+    monkeypatch.setattr(funcalg.vm, "apply_builtin", lambda *a: calls.append(a[0]) or kernel(*a))
+    x, = params(1)
+    sin = builtin("sin")
+    tree = sin(x) + sin(x) * sin(x)  # three structurally equal calls, not one shared node
+    args = (Complex(0.5, -1.25),)
+    p = compile_expr(tree)
+    want = run(p, args)
+    assert calls == ["sin"] * 3  # the loop calls the kernel for each copy
+    lane = funcalg.vm._lane_of(p, (Complex,))
+    for _ in range(2):
+        calls.clear()
+        got = lane(*args)
+        assert calls == ["sin"]
+        assert [v.hex() for v in _components(got)] == [v.hex() for v in _components(want)]
+    # the lane's source is kept for `inspect`: it emits the call once
+    assert inspect.getsource(lane).count("apply_builtin(") == 1
+
+
+def test_a_lane_runs_a_repeated_definition_call_once(monkeypatch):
+    session = Session(SessionConfig(backend="vm"), out=io.StringIO())
+    for line in ("f(x) = x*x + 1", "g(x) = f(x) + f(x)"):
+        session.execute_line(line)
+    g = session.env.lookup("g")
+    compile_expr(g)
+    body, f_body = g.call.a, session.env.lookup("f").call.a
+    sig, args = (Quaternion,), (Quaternion(0.5, -1.0, 2.0, 0.25),)
+    want, = _loop_results(body, [args], monkeypatch)
+    calls = []
+    f_lane = funcalg.vm._lane_of(f_body, sig)
+
+    def spy(*a):
+        calls.append(a)
+        return f_lane(*a)
+
+    spy.width = f_lane.width
+    f_body._lanes[sig] = spy  # before g's lane is built
+    got = funcalg.vm._lane_of(body, sig)(*args)
+    assert len(calls) == 1
+    assert [v.hex() for v in _components(got)] == [v.hex() for v in _components(want)]
+
+
+def test_a_lanes_traceback_shows_its_source():
+    x, y = params(2)
+    p = compile_expr(x * y)
+    lane = funcalg.vm._lane_of(p, (Vector, Vector))
+    with pytest.raises(ValueError) as info:
+        lane(Vector((1.0, 2.0)), Vector((1.0,)))  # zip(strict=True): the loop raises the real error
+    frame = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert frame.filename.startswith("<funcalg lane ") and "zip(" in frame.line
+
+
+def _bits(v):
+    """Each component's exact bits: float.hex shows every NaN as 'nan'.  Only
+    for results where no operation met two NaNs: which one's sign a product
+    of two NaNs keeps depends on the order in which the C code multiplies,
+    and CPython's specialized and generic float multiplications differ, so
+    the same code can give either as it warms up."""
+    return [struct.pack("<d", c) for c in _components(v)]
+
+
+@pytest.mark.parametrize("args", [
+    (Scalar(1.5),), (Complex(1.5, -0.5),), (Quaternion(1.5, -0.5, 0.25, 2.0),),
+    (Vector((1.5, -2.0, 0.0, math.inf)),),
+], ids=["scalar", "complex", "quaternion", "vector"])
+def test_lanes_share_no_constants_that_differ_in_sign(args, monkeypatch):
+    x, = params(1)
+    nan = math.nan
+    p0, m0 = Def("p0", Arity(1), x * 0.0), Def("m0", Arity(1), x * -0.0)  # equal Programs: 0.0 == -0.0
+    trees = [
+        1 / (x * 0.0) - 1 / (x * -0.0),
+        1 / p0 - 1 / m0,
+        # nan^0 is 1: the first product's NaN vanishes, the second's sign shows
+        (x * nan) ** 0.0 * (x * -nan),
+        (x * -nan) ** 0.0 * (x * nan),
+        (x * Complex(nan, -nan)) ** 0.0 * (x * Complex(-nan, nan)),
+    ]
+    sig = tuple(map(type, args))
+    for tree in trees:
+        p = compile_expr(tree)
+        want, = _loop_results(p, [args], monkeypatch)
+        if funcalg.vm._lane_of(p, sig) is False:
+            assert sig == (Vector,)  # a vector lane with a CALL_DEF, or a complex constant
+            continue
+        assert _check_lane(p, args, want) != "error"
+        if type(want) in (Scalar, Vector):  # no operation here meets two NaNs (see _bits)
+            assert _bits(funcalg.vm._lane_of(p, sig)(*args)) == _bits(want)
+
+
+def _shared_tree(seed, kind):
+    """A leaf-free treegen tree for arguments of `kind`, the same for the same seed."""
+    rng = random.Random(seed)
+    if kind is not Vector:
+        return treegen.gen_tower_tree(rng, rng.randint(1, 3), rng.randint(0, 4))
+    while True:  # gen_tree draws leaves, but not always
+        tree = treegen.gen_tree(rng, 1, rng.randint(0, 3), 3)
+        if not compile_expr(tree).leaves:
+            return tree
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from([Scalar, Complex, Quaternion, Vector]))
+def test_lanes_of_repeated_subtrees_match_the_loop(seed, kind):
+    t = _shared_tree(seed, kind)
+    n = t.arity.n or 1
+    rng = random.Random(seed)
+    if kind is Vector:
+        args = (Vector(tuple(rng.choice(_EDGE) for _ in range(3))),)
+    else:
+        args = tuple(kind(*(rng.choice(_EDGE) if rng.random() < 0.3 else rng.uniform(-2, 2)
+                            for _ in funcalg.values._FIELDS[kind])) for _ in range(n))
+    d = Def("d", Arity(n), t)
+    # one subtree three times, three structurally equal copies, and one definition called thrice
+    copies = [_shared_tree(seed, kind) for _ in range(3)]
+    for tree in (t + t * t, copies[0] + copies[1] * copies[2], d + d * d):
+        p = compile_expr(tree)
+        with pytest.MonkeyPatch.context() as mp:
+            want, = _loop_results(p, [args], mp)
+        if funcalg.vm._lane_of(p, tuple(map(type, args))):
+            _check_lane(p, args, want)
