@@ -12,8 +12,10 @@ equal length (no recycling).
 
 from __future__ import annotations
 
+import linecache
 import math
 import operator
+import zlib
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, product, repeat
@@ -213,10 +215,11 @@ def _cpow_parts(a0: float, a1: float, b0: float, b1: float) -> tuple[float, floa
 # reads a boxed value into them, `_build_code` builds one from them, and
 # `_tower_code` writes each complex and quaternion + - * / component formula
 # of `_TOWER_OPS` as statements on them, padding the narrower operand with
-# 0.0 (promotion: Scalar -> Complex -> Quaternion).  The builders `_scalar`,
-# `_complex` and `_quat`, the pair kernels below and the lanes of `vm` are
-# all generated from these, in the namespace `_CODE_NS`, so they do the same
-# IEEE operations in the same order.
+# 0.0 (promotion: Scalar -> Complex -> Quaternion), and `_qpow_code` writes
+# quaternion ^.  The builders `_scalar`, `_complex` and `_quat`, the pair
+# kernels below and the lanes of `vm` are all generated from these, in the
+# namespace `_CODE_NS`, so they do the same IEEE operations in the same
+# order; `_define` compiles them all and keeps their source.
 
 # The value types held as float fields, and their fields; `_WIDTH_KINDS[w]`
 # is the type of width w.
@@ -225,10 +228,22 @@ _WIDTH_KINDS = {len(f): t for t, f in _FIELDS.items()}
 
 # The names that generated code calls: `new(kind{w})` makes a bare value of
 # width w, and `set{w}_{j}` stores its field j as is (kernel results are
-# already floats); `_tower_code` calls `ieee_div` and `cpow`.
-_CODE_NS = {"new": object.__new__, "ieee_div": _ieee_div, "cpow": _cpow_parts,
+# already floats); `_tower_code` calls `ieee_div`, `cpow` and, for quaternion
+# ^, `UnsupportedPowError`.
+_CODE_NS = {"new": object.__new__, "ieee_div": _ieee_div, "cpow": _cpow_parts, "UnsupportedPowError": UnsupportedPowError,
             **{f"kind{len(fs)}": t for t, fs in _FIELDS.items()},
             **{f"set{len(fs)}_{j}": getattr(t, f).__set__ for t, fs in _FIELDS.items() for j, f in enumerate(fs)}}
+
+
+def _define(name: str, head: str, body: list[str], ns: dict):
+    """Compile `def name(head):` with the statements body in the namespace
+    ns and return the function.  Its source stays in `linecache` as
+    `<funcalg NAME 1a2b3c4d>` (a CRC-32 of it), for tracebacks and inspect."""
+    source = f"def {name}({head}):\n" + "".join(f"    {s}\n" for s in body)
+    file = f"<funcalg {name} {zlib.crc32(source.encode()):08x}>"
+    linecache.cache[file] = (len(source), None, source.splitlines(True), file)
+    exec(compile(source, file, "exec"), ns)
+    return ns[name]
 
 
 def _comps(x: str, w: int) -> list[str]:
@@ -247,49 +262,42 @@ def _build_code(x: str, w: int) -> list[str]:
     return [f"{x} = new(kind{w})", *(f"set{w}_{j}({x}, {x}_{j})" for j in range(w))]
 
 
-def _builder(name: str, w: int):
-    ns = dict(_CODE_NS)
-    exec(f"def {name}({', '.join(_comps('v', w))}):\n    " + "\n    ".join(_build_code("v", w) + ["return v"]), ns)
-    return ns[name]
-
-
-_scalar, _complex, _quat = (_builder(f"_{n}", w) for n, w in (("scalar", 1), ("complex", 2), ("quat", 4)))
-
-# The Hamilton product, which is not commutative.
-_HAMILTON = (
-    "{a[0]} * {b[0]} - {a[1]} * {b[1]} - {a[2]} * {b[2]} - {a[3]} * {b[3]}",
-    "{a[0]} * {b[1]} + {a[1]} * {b[0]} + {a[2]} * {b[3]} - {a[3]} * {b[2]}",
-    "{a[0]} * {b[2]} - {a[1]} * {b[3]} + {a[2]} * {b[0]} + {a[3]} * {b[1]}",
-    "{a[0]} * {b[3]} + {a[1]} * {b[2]} - {a[2]} * {b[1]} + {a[3]} * {b[0]}",
-)
+_scalar, _complex, _quat = (_define(f"_{n}", ", ".join(_comps("v", w)), _build_code("v", w) + ["return v"], dict(_CODE_NS))
+                            for n, w in (("scalar", 1), ("complex", 2), ("quat", 4)))
 
 # component templates per (operator, width) on the operands' components a
 # and b, each of that width; a complex / gives the numerators over the
 # divisor's squared norm, and a quaternion / is written by `_tower_code` as
 # the Hamilton product with the divisor's inverse.  Real / and ^ are
-# `_REAL_OPS` kernels, complex ^ is `cpow` and quaternion ^ is `_qpow` below.
+# `_REAL_OPS` kernels, complex ^ is `cpow` and quaternion ^ is `_qpow_code`.
 _TOWER_OPS = {
     **{(op, w): tuple(f"{{a[{j}]}} {op.value} {{b[{j}]}}" for j in range(w))
        for op in (ArithOp.ADD, ArithOp.SUB) for w in (1, 2, 4)},
     (ArithOp.MUL, 1): ("{a[0]} * {b[0]}",),
     (ArithOp.MUL, 2): ("{a[0]} * {b[0]} - {a[1]} * {b[1]}", "{a[0]} * {b[1]} + {a[1]} * {b[0]}"),
     (ArithOp.DIV, 2): ("{a[0]} * {b[0]} + {a[1]} * {b[1]}", "{a[1]} * {b[0]} - {a[0]} * {b[1]}"),
-    (ArithOp.MUL, 4): _HAMILTON,
+    (ArithOp.MUL, 4): (  # the Hamilton product, which is not commutative
+        "{a[0]} * {b[0]} - {a[1]} * {b[1]} - {a[2]} * {b[2]} - {a[3]} * {b[3]}",
+        "{a[0]} * {b[1]} + {a[1]} * {b[0]} + {a[2]} * {b[3]} - {a[3]} * {b[2]}",
+        "{a[0]} * {b[2]} - {a[1]} * {b[3]} + {a[2]} * {b[0]} + {a[3]} * {b[1]}",
+        "{a[0]} * {b[3]} + {a[1]} * {b[2]} - {a[2]} * {b[1]} + {a[3]} * {b[0]}",
+    ),
 }
 
 
 def _tower_code(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> list[str]:
     """Statements that bind t_0 .. t_{w-1} to `xs op ys` on the component
     expressions xs and ys, the narrower padded with 0.0 to the width w of the
-    wider, by `_TOWER_OPS`; a complex `^` calls `cpow`.  A complex or
+    wider, by `_TOWER_OPS`; a complex `^` calls `cpow`, and a quaternion one
+    is `_qpow_code` by ys[0], a Scalar's name or an int.  A complex or
     quaternion `/` binds the divisor's squared norm tn and divides by it: a
-    complex one's numerators, a quaternion one's divisor to its inverse
-    ti0 .. ti3, testing tn once: plain `/` where tn is nonzero (NaN and
-    infinity too), `ieee_div` where it is zero."""
+    complex one's numerators, a quaternion one's divisor to its inverse ti0
+    .. ti3, testing tn once: plain `/` where tn is nonzero (NaN and infinity
+    too), `ieee_div` where it is zero."""
     w = max(len(xs), len(ys))
     xs, ys = (list(v) + ["0.0"] * (w - len(v)) for v in (xs, ys))
     if op is ArithOp.POW:
-        return [f"{t}_0, {t}_1 = cpow({', '.join(xs + ys)})"]
+        return [f"{t}_0, {t}_1 = cpow({', '.join(xs + ys)})"] if w == 2 else _qpow_code(t, xs, ys[0])
     if op is not ArithOp.DIV:
         return [f"{t}_{j} = " + s.format(a=xs, b=ys) for j, s in enumerate(_TOWER_OPS[op, w])]
     if w == 2:
@@ -302,59 +310,68 @@ def _tower_code(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> list[str]:
     return code if w == 2 else code + _tower_code(t, ArithOp.MUL, xs, names)
 
 
+def _qpow_code(t: str, xs: list[str], n: int | str) -> list[str]:
+    """Statements that bind t_0 .. t_3 to the quaternion xs to the power n by
+    square-and-multiply over `_tower_code`'s Hamilton product (associativity
+    makes it the repeated product): for a float's name n, a loop over its
+    bits that rebinds the names xs, once n is checked to be a non-negative
+    integer (else it raises); for an int n, unrolled."""
+    acc, code, k = ["1.0", "0.0", "0.0", "0.0"], [], 0
+    if type(n) is str:
+        ts, ms, ss = (", ".join(_comps(v, 4)) for v in (t, f"{t}m", f"{t}s"))
+        step = lambda u, a, b: ["        " + s for s in _tower_code(u, ArithOp.MUL, a, b)]
+        return [f"if not ({n}.is_integer() and {n} >= 0):",
+                "    raise UnsupportedPowError('quaternion power is defined only for non-negative integer exponents')",
+                f"{t}e = int({n})", f"{ts} = {', '.join(acc)}", f"while {t}e:", f"    if {t}e & 1:",
+                *step(f"{t}m", _comps(t, 4), xs), f"        {ts} = {ms}", f"    {t}e >>= 1", f"    if {t}e:",
+                *step(f"{t}s", xs, xs), f"        {', '.join(xs)} = {ss}"]
+    while n:
+        if n & 1:
+            code += _tower_code(f"{t}m{k}", ArithOp.MUL, acc, xs)
+            acc = _comps(f"{t}m{k}", 4)
+        n >>= 1
+        if n:  # the last bit needs no further square
+            code += _tower_code(f"{t}s{k}", ArithOp.MUL, xs, xs)
+            xs = _comps(f"{t}s{k}", 4)
+        k += 1
+    return code + [f"{', '.join(_comps(t, 4))} = {', '.join(acc)}"]
+
+
 # ---------------------------------------------------------------------------
 # The tower's kernels by kind pair: `_PAIR_KERNELS[op, kind_a, kind_b]` for
 # every pair of Scalar, Complex and Quaternion with a Complex or Quaternion
-# side.  Each + - * / (and complex ^, by _cpow_parts) is one generated
-# function that reads each operand field once (`_read_code`), runs
-# `_tower_code` and builds its result (`_build_code`).  Quaternion
-# multiplication is the Hamilton product, and division multiplies by the
-# right operand's inverse.  A quaternion ^ takes only a Scalar exponent
-# (_qpow); lanes unroll its loop for a constant exponent into the same
-# `_tower_code` products.
+# side.  Each is one generated function that reads each operand field once
+# (`_read_code`), runs `_tower_code` and builds its result (`_build_code`),
+# except a quaternion ^ by a Complex or Quaternion exponent, which raises.
 
 def _pair_kernels() -> dict:
     ns, table = dict(_CODE_NS), {}
     for (ka, fa), (kb, fb), op in product(_FIELDS.items(), _FIELDS.items(), ArithOp):
         wa, wb = len(fa), len(fb)
         w = max(wa, wb)
-        if w == 1 or (w == 4 and op is ArithOp.POW):
-            continue  # the scalar branch of `value_binop`, and _qpow below
-        code = _read_code("a", wa) + _read_code("b", wb) + _tower_code("t", op, _comps("a", wa), _comps("b", wb))
-        code += _build_code("t", w) + ["return t"]
+        if w == 1:
+            continue  # the scalar branch of `value_binop`
+        if op is ArithOp.POW and w == 4 and wb > 1:
+            why = "quaternion power needs a scalar exponent" if wa == 4 else "quaternion exponents are not supported"
+            code = [f"raise UnsupportedPowError({why!r})"]
+        else:
+            code = _read_code("a", wa) + _read_code("b", wb) + _tower_code("t", op, _comps("a", wa), _comps("b", wb))
+            code += _build_code("t", w) + ["return t"]
         name = f"{op.name.lower()}_{ka.__name__.lower()}_{kb.__name__.lower()}"
-        exec(f"def {name}(a, b):\n    " + "\n    ".join(code), ns)
-        table[op, ka, kb] = ns[name]
+        table[op, ka, kb] = _define(name, "a, b", code, ns)
     return table
 
 
 _PAIR_KERNELS = _pair_kernels()
-_hamilton = _PAIR_KERNELS[ArithOp.MUL, Quaternion, Quaternion]
-
-
-def _qpow(a: Quaternion, b: Scalar) -> Quaternion:
-    if not (math.isfinite(b.x) and b.x == int(b.x) and b.x >= 0):
-        raise UnsupportedPowError(
-            "quaternion power is defined only for non-negative integer exponents"
-        )
-    n = int(b.x)
-    acc = _quat(1.0, 0.0, 0.0, 0.0)
-    base = a
-    while n:  # square-and-multiply; associativity makes this the repeated product
-        if n & 1:
-            acc = _hamilton(acc, base)
-        n >>= 1
-        if n:  # the last bit needs no further square
-            base = _hamilton(base, base)
-    return acc
-
-
-_PAIR_KERNELS[ArithOp.POW, Quaternion, Scalar] = _qpow
 
 
 def _kind(v: object) -> type | None:
     """The tower kind (Scalar, Complex or Quaternion) that v's type derives from."""
     return next((t for t in type(v).__mro__ if t in _FIELDS), None)
+
+
+def _outside(v: object) -> TypeError:  # for a value that is not a Vector and has no tower kind
+    return TypeError(f"not a numeric tower value: {type(v).__name__}")
 
 
 def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
@@ -381,10 +398,6 @@ def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
     kernel = _PAIR_KERNELS.get((op, _kind(a), _kind(b)))  # subclasses of the tower kinds
     if kernel is not None:
         return kernel(a, b)
-    if op is ArithOp.POW and isinstance(a, Quaternion):
-        raise UnsupportedPowError("quaternion power needs a scalar exponent")
-    if op is ArithOp.POW and isinstance(b, Quaternion):
-        raise UnsupportedPowError("quaternion exponents are not supported")
     raise TypeError(f"not numeric tower values: {type(a).__name__} {op.value} {type(b).__name__}")
 
 
@@ -396,7 +409,9 @@ def value_neg(a: Value) -> Value:
         return _vector(tuple(map(operator.neg, a.xs)))
     if isinstance(a, Complex):
         return _complex(-a.re, -a.im)
-    return _quat(-a.w, -a.x, -a.y, -a.z)
+    if isinstance(a, Quaternion):
+        return _quat(-a.w, -a.x, -a.y, -a.z)
+    raise _outside(a)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +507,7 @@ def apply_builtin(name: str, a: Value) -> Value:
     """
     if name in _SCAN_KERNELS:
         if not isinstance(a, Vector):
-            raise UnsupportedKindError(f"{name} needs a vector")
+            raise UnsupportedKindError(f"{name} needs a vector") if _kind(a) else _outside(a)
         op, start = _SCAN_KERNELS[name]
         return _vector(tuple(accumulate(a.xs, _REAL_OPS[op][0], initial=start))[1:])
 
@@ -513,9 +528,9 @@ def apply_builtin(name: str, a: Value) -> Value:
         if ck is None:
             raise UnsupportedKindError(f"{name} is not defined for complex values")
         return ck(a)
-    if name == "abs":
+    if name == "abs" and isinstance(a, Quaternion):
         return _scalar(math.hypot(a.w, a.x, a.y, a.z))
-    raise UnsupportedKindError(f"{name} is not defined for quaternions")
+    raise UnsupportedKindError(f"{name} is not defined for quaternions") if isinstance(a, Quaternion) else _outside(a)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +560,8 @@ def format_value(v: Value, digits: int = 7) -> str:
     if isinstance(v, Complex):
         sign = "-" if v.im < 0 else "+"
         return f"{_fmt_real(v.re, digits)}{sign}{_fmt_real(abs(v.im), digits)}i"
+    if not isinstance(v, Quaternion):
+        raise _outside(v)
     parts = [_fmt_real(v.w, digits)]
     for comp, axis in ((v.x, "i"), (v.y, "j"), (v.z, "k")):
         sign = "-" if comp < 0 else "+"
@@ -564,5 +581,5 @@ def same_value(a: Value, b: Value) -> bool:
         return len(a.xs) == len(b.xs) and all(map(_same_real, a.xs, b.xs))
     kind = _kind(a)
     if kind is None:
-        raise TypeError(f"not a numeric tower value: {type(a).__name__}")
+        raise _outside(a)
     return all(_same_real(getattr(a, f), getattr(b, f)) for f in _FIELDS[kind])

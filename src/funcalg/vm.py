@@ -47,20 +47,20 @@ constants (of equal bits, or a Vector: the same object) share one name.
 Lanes are written in the vocabulary of `values` that also generates the
 tree walker's kernels: `_read_code` reads a boxed value's fields into
 locals, `_build_code` builds a value from them inline, and `_tower_code`
-writes `+ - * /` and complex `^` (one `_cpow_parts` call) from
-`_TOWER_OPS`, padding the narrower operand with 0.0 (promotion).
+writes `+ - * /` from `_TOWER_OPS`, padding the narrower operand with 0.0
+(promotion), complex `^` as one `_cpow_parts` call, and a quaternion `^`
+by a `Scalar` constant from 0 to `_POW_UNROLL` as the pair kernel's
+square-and-multiply loop unrolled into Hamilton products (`_qpow_code`).
 Negation is inline too, and scalar `/`, with `_ieee_div` where it raises.
 Scalar `^` and scalar builtins are their real kernel: the C function, and
 the repair where it raises; a `^` by a constant finite non-integer exponent
-first maps a negative finite base to NaN, the repair's answer.  A
-quaternion `^` whose exponent is a `Scalar` constant from 0 to
-`_POW_UNROLL` is `_qpow`'s square-and-multiply unrolled into inline
-Hamilton products.  The rest (other quaternion `^`, complex and quaternion
-builtins, scans, CALL_DEF) builds its operands, calls the kernel or the
-body's lane, and reads the result's fields by its known kind.  `run` tries
-the all-`Scalar` lane first, with no signature lookup; it counts the runs
-that find no lane and, from the `_LANE_AFTER`-th (never at compile time),
-builds the run's lane.  `Scalar` subclasses and leaves stay laneless.
+first maps a negative finite base to NaN, the repair's answer.  The rest
+(other quaternion `^`, complex and quaternion builtins, scans, CALL_DEF)
+builds its operands, calls the kernel or the body's lane, and reads the
+result's fields by its known kind.  `run` tries the all-`Scalar` lane
+first, with no signature lookup; it counts the runs that find no lane and,
+from the `_LANE_AFTER`-th (never at compile time), builds the run's lane.
+`Scalar` subclasses and leaves stay laneless.
 A vector signature's lane is one `for` loop over the elements (a
 `zip(..., strict=True)` of the vector arguments and constants that an
 operator reads or the program returns, if several) in which each element
@@ -76,9 +76,9 @@ never meet); with no leaves, nothing impure runs twice.
 Contract: every value a lane computes is one the loop computes, from the
 same operands by the same IEEE operation (for each element, in a vector
 lane), so its result is bit-identical (`float.hex` per component) to the
-loop's.  Each lane's source is kept in `linecache` under a name of the form
-`<funcalg lane 1a2b3c4d>` (a CRC of the source), for tracebacks and
-`inspect.getsource`.
+loop's.  `values._define` compiles each lane, as it does every kernel,
+and keeps its source in `linecache` as `<funcalg lane 1a2b3c4d>` (a CRC
+of the source), for tracebacks and `inspect.getsource`.
 Counting, building and compiling a `Def` are not locked: two threads may
 each build a lane or a body, and either one is correct.
 """
@@ -86,11 +86,9 @@ each build a lane or a body, and either one is correct.
 from __future__ import annotations
 
 import json
-import linecache
 import math
 import struct
 import time
-import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -103,7 +101,7 @@ from .errors import (
     InvalidProgramError,
 )
 from .values import ArithOp, BUILTIN_NAMES, Scalar, Value, Vector, apply_builtin, format_value, same_value, value_binop, value_neg
-from .values import _CODE_NS, _FIELDS, _REAL_OPS, _SCALAR_KERNELS, _SCAN_KERNELS, _TOWER_OPS, _WIDTH_KINDS, _build_code, _comps, _read_code, _tower_code, _vector
+from .values import _CODE_NS, _FIELDS, _REAL_OPS, _SCALAR_KERNELS, _SCAN_KERNELS, _TOWER_OPS, _WIDTH_KINDS, _build_code, _comps, _define, _read_code, _tower_code, _vector
 
 
 class Op(Enum):
@@ -332,8 +330,8 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
     def unbox(x: str, w: int, expr: str | None = None) -> tuple[str, int]:
         """Bind x to expr's boxed value of width w (if given), then read its fields."""
         if expr:
-            lines.append(f"    {x} = {expr}")
-        lines.extend("    " + s for s in _read_code(x, w))
+            lines.append(f"{x} = {expr}")
+        lines.extend(_read_code(x, w))
         boxed.add(x)
         return x, w
 
@@ -345,20 +343,19 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         call = f"({', '.join(x + '_0' for x, _ in xs)})"
         raw = raw or f"k_{name}{call}"
         if pair[1] is None:
-            lines.append(f"    {t}_0 = {raw}")
+            lines.append(f"{t}_0 = {raw}")
         else:
-            lines.append(f"    try: {t}_0 = {raw}")
-            lines.append(f"    except (ArithmeticError, ValueError): {t}_0 = r_{name}{call}")
+            lines.extend([f"try: {t}_0 = {raw}", f"except (ArithmeticError, ValueError): {t}_0 = r_{name}{call}"])
         return t, 1
 
     def inline(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> tuple[str, int]:
         """Bind t_0 .. to `xs op ys` on the components xs and ys (`_tower_code`)."""
-        lines.extend("    " + s for s in _tower_code(t, op, xs, ys))
+        lines.extend(_tower_code(t, op, xs, ys))
         return t, max(len(xs), len(ys))
 
     def box(v: tuple[str, int]) -> str:
         if v[0] not in boxed:
-            lines.extend("    " + s for s in _build_code(*v))
+            lines.extend(_build_code(*v))
             boxed.add(v[0])
         return v[0]
 
@@ -401,17 +398,8 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             elif a is not ArithOp.POW or w == 2:
                 stack[-1] = inline(t, a, comps(x), comps(y))
             elif x[1] == 4 and type(c := ns.get(y[0])) is Scalar and c.x in range(_POW_UNROLL + 1):
-                # y is a constant (of the stack's names, ns binds only theirs): _qpow unrolled
-                acc, base, n, k = ("1.0", "0.0", "0.0", "0.0"), comps(x), int(c.x), 0
-                while n:
-                    if n & 1:
-                        acc = comps(inline(f"{t}m{k}", ArithOp.MUL, acc, base))
-                    n >>= 1
-                    if n:
-                        base = comps(inline(f"{t}s{k}", ArithOp.MUL, base, base))
-                    k += 1
-                lines.append(f"    {', '.join(comps((t, 4)))} = {', '.join(acc)}")
-                stack[-1] = (t, 4)
+                # y is a constant (of the stack's names, ns binds only theirs): unrolled
+                stack[-1] = inline(t, a, comps(x), [int(c.x)])
             else:  # other quaternion ^: a computed or larger exponent, or one that raises
                 stack[-1] = unbox(t, w, f"value_binop(POW, {box(x)}, {box(y)})")
         elif op is _BEGIN_FRAME:
@@ -430,7 +418,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
                 if lines is pre:
                     return False  # of a scalar, which raises
                 step, start = _SCAN_KERNELS[a]
-                pre.append(f"    {t}_0 = {start!r}")
+                pre.append(f"{t}_0 = {start!r}")
                 stack[-1] = inline(t, step, [f"{t}_0"], comps(stack[-1]))
             else:  # complex and quaternion kernels (abs gives a scalar); a scan raises
                 stack[-1] = unbox(t, 1 if w == 4 else w, f"apply_builtin({a!r}, {box(stack[-1])})")
@@ -443,12 +431,12 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             args = "*args" if frame is None else ", ".join(map(box, frame))
             stack.append(unbox(t, callee.width, f"d{ip}({args})"))
         else:  # NEGATE; a program without leaves has no CALL_LEAF
-            lines += [f"    {t}_{j} = -{c}" for j, c in enumerate(comps(stack[-1]))]
+            lines += [f"{t}_{j} = -{c}" for j, c in enumerate(comps(stack[-1]))]
             stack[-1] = (t, stack[-1][1])
         if key:
             memo[key] = stack[-1]
     if not vector:
-        pre.append(f"    return {box(stack[0])}")
+        pre.append(f"return {box(stack[0])}")
     elif stack[0][0] not in varying:
         return False
     else:
@@ -458,14 +446,9 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         read.add(stack[0][0])
         sources = [s for s in sources if s in read]  # an unread one may have another length
         over = f"{sources[0]}.xs" if len(sources) == 1 else f"zip({', '.join(s + '.xs' for s in sources)}, strict=True)"
-        pre += ["    out = []", "    push = out.append", f"    for {', '.join(s + '_0' for s in sources)} in {over}:"]
-        pre += ["    " + s for s in loop] + [f"        push({stack[0][0]}_0)", "    return boxv(tuple(out))"]
-    # the source, kept for tracebacks and `inspect.getsource` under a name it determines
-    source = f"def lane({head}):\n" + "\n".join(pre) + "\n"
-    name = f"<funcalg lane {zlib.crc32(source.encode()):08x}>"
-    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
-    exec(compile(source, name, "exec"), ns)
-    lane = ns["lane"]
+        pre += ["out = []", "push = out.append", f"for {', '.join(s + '_0' for s in sources)} in {over}:"]
+        pre += ["    " + s for s in loop] + [f"    push({stack[0][0]}_0)", "return boxv(tuple(out))"]
+    lane = _define("lane", head, pre, ns)
     lane.width = None if vector else stack[0][1]  # the result's, for the lanes that call this one
     return lane
 

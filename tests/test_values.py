@@ -8,10 +8,13 @@ Hamilton product.
 import cmath
 import collections
 import dataclasses
+import inspect
 import itertools
 import math
 import operator
 import random
+import re
+import traceback
 from itertools import repeat
 
 import numpy as np
@@ -631,7 +634,7 @@ def test_every_kind_pair_is_pinned_bit_for_bit():
     # subclass operands: float.hex-equal to the reference, or the exact error
     rng = random.Random(1717)
     kinds = {Scalar: _SubScalar, Complex: _SubComplex, Quaternion: _SubQuaternion}
-    exponents = [0.0, -0.0, 1.0, 2.0, 3.0, 7.0, 64.0, 1025.0, 0.5, -1.0, -2.5, math.inf, math.nan]
+    exponents = [0.0, -0.0, 1.0, 2.0, 3.0, 7.0, 64.0, 1025.0, 0.5, -1.0, -2.5, math.inf, math.nan, 1e300, 2.0**53]
 
     def component():
         if rng.random() < 0.6:
@@ -661,6 +664,19 @@ def test_every_kind_pair_is_pinned_bit_for_bit():
                     assert [c.hex() for c in _components(got)] == [c.hex() for c in want[1]], (op, x, y)
                     seen[want[0].__name__] += 1
     assert seen["error"] >= 2000 and min(seen.values()) >= 2000, seen
+
+
+def test_a_kernel_keeps_its_generated_source():
+    # kernels are generated functions whose source tracebacks and inspect show
+    kernels = funcalg.values._PAIR_KERNELS
+    source = inspect.getsource(kernels[MUL, Quaternion, Quaternion])
+    assert source.startswith("def mul_quaternion_quaternion(a, b):\n")
+    assert "t_2 = a_0 * b_2 - a_1 * b_3 + a_2 * b_0 + a_3 * b_1\n" in source
+    with pytest.raises(UnsupportedPowError) as info:
+        value_binop(POW, Quaternion(1, 2, 3, 4), Scalar(2.5))
+    last = traceback.extract_tb(info.tb)[-1]
+    assert re.fullmatch(r"<funcalg pow_quaternion_scalar [0-9a-f]{8}>", last.filename), last.filename
+    assert last.line.startswith("raise UnsupportedPowError("), last.line
 
 
 def test_value_neg():
@@ -931,6 +947,23 @@ def test_same_value_nan_class():
 def test_a_host_float_is_not_a_tower_value():
     with pytest.raises(TypeError, match="not numeric tower values"):
         value_binop(ADD, Scalar(1.0), 1.0)
+
+
+def test_negation_builtins_and_rendering_reject_a_value_outside_the_tower():
+    # a leaf that returns a host float: neither backend may read it as a quaternion
+    h = funcalg.lift_function("h", 1, lambda v: 1.5)
+    for e in (-h, funcalg.builtin("sin")(h), funcalg.builtin("cumsum")(h)):
+        for backend in (funcalg.evaluate, lambda e, args: funcalg.run(funcalg.compile_expr(e), args)):
+            with pytest.raises(TypeError, match="^not a numeric tower value: float$"):
+                backend(e, (Scalar(1.0),))
+
+    class Other(funcalg.values.Value):
+        __slots__ = ()
+
+    for reject in (value_neg, lambda v: apply_builtin("sin", v), lambda v: apply_builtin("abs", v),
+                   lambda v: apply_builtin("cumprod", v), format_value):
+        with pytest.raises(TypeError, match="^not a numeric tower value: Other$"):
+            reject(Other())
 
 
 def test_same_value_reads_every_field_of_each_kind():
