@@ -28,8 +28,8 @@ from .values import (
     Complex,
     Scalar,
     Value,
-    apply_builtin,
-    value_binop,
+    _BINOPS,
+    _BUILTINS,
     value_neg,
 )
 
@@ -216,7 +216,7 @@ class Prim(FuncExpr):
             raise UnknownPrimitiveError(f"unknown primitive '{self.name}'")
 
     def _eval(self, args):
-        return apply_builtin(self.name, args[0])
+        return _BUILTINS[self.name](args[0])
 
 
 PRIMITIVES: tuple[str, ...] = BUILTIN_ORDER
@@ -251,7 +251,7 @@ class BinOp(FuncExpr):
 
     def _eval(self, args):
         # both operands get the identical args: the argument list is factored out
-        return value_binop(self.op, self.e1._eval(args), self.e2._eval(args))
+        return _BINOPS[self.op](self.e1._eval(args), self.e2._eval(args))
 
 
 @dataclass(frozen=True)

@@ -173,7 +173,7 @@ def _nan_bases(x, y) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Complex exp, log and ^ on floats, total as the real kernels are: Inf and
-# NaN components instead of raising.  The pair kernels, complex sqrt and the
+# NaN components instead of raising.  The `^` and `sqrt` kernels and the
 # complex lanes of `vm` all call _cpow_parts, so complex ^ has one
 # implementation.
 
@@ -213,13 +213,13 @@ def _cpow_parts(a0: float, a1: float, b0: float, b1: float) -> tuple[float, floa
 # Tower arithmetic, written once.  Generated code holds a value of width w
 # (its number of float fields) as the locals x_0 .. x_{w-1}: `_read_code`
 # reads a boxed value into them, `_build_code` builds one from them, and
-# `_tower_code` writes each complex and quaternion + - * / component formula
-# of `_TOWER_OPS` as statements on them, padding the narrower operand with
-# 0.0 (promotion: Scalar -> Complex -> Quaternion), and `_qpow_code` writes
-# quaternion ^.  The builders `_scalar`, `_complex` and `_quat`, the pair
-# kernels below and the lanes of `vm` are all generated from these, in the
-# namespace `_CODE_NS`, so they do the same IEEE operations in the same
-# order; `_define` compiles them all and keeps their source.
+# `_tower_code` writes each + - * / component formula of `_TOWER_OPS` as
+# statements on them, padding the narrower operand with 0.0 (promotion:
+# Scalar -> Complex -> Quaternion), real / and ^ by `_real_code`, and
+# quaternion ^ by `_qpow_code`.  The builders `_scalar`, `_complex` and
+# `_quat`, the kernels `_BINOPS` and `_BUILTINS` and the lanes of `vm` are all
+# generated from these, in the namespace `_CODE_NS`, so they do the same IEEE
+# operations in the same order; `_define` compiles them all and keeps their source.
 
 # The value types held as float fields, and their fields; `_WIDTH_KINDS[w]`
 # is the type of width w.
@@ -288,7 +288,8 @@ _TOWER_OPS = {
 def _tower_code(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> list[str]:
     """Statements that bind t_0 .. t_{w-1} to `xs op ys` on the component
     expressions xs and ys, the narrower padded with 0.0 to the width w of the
-    wider, by `_TOWER_OPS`; a complex `^` calls `cpow`, and a quaternion one
+    wider, by `_TOWER_OPS`; a real `/` or `^` is `_real_code`, a complex `^`
+    calls `cpow`, and a quaternion one
     is `_qpow_code` by ys[0], a Scalar's name or an int.  A complex or
     quaternion `/` binds the divisor's squared norm tn and divides by it: a
     complex one's numerators, a quaternion one's divisor to its inverse ti0
@@ -296,6 +297,8 @@ def _tower_code(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> list[str]:
     too), `ieee_div` where it is zero."""
     w = max(len(xs), len(ys))
     xs, ys = (list(v) + ["0.0"] * (w - len(v)) for v in (xs, ys))
+    if w == 1 and (op, w) not in _TOWER_OPS:  # real / and ^
+        return _real_code(t, op.name, _REAL_OPS[op], xs + ys)
     if op is ArithOp.POW:
         return [f"{t}_0, {t}_1 = cpow({', '.join(xs + ys)})"] if w == 2 else _qpow_code(t, xs, ys[0])
     if op is not ArithOp.DIV:
@@ -308,6 +311,17 @@ def _tower_code(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> list[str]:
             f"if {t}n: " + "; ".join(f"{x} = ({e}) / {t}n" for x, e in zip(names, nums)),
             "else: " + "; ".join(f"{x} = ieee_div({e}, {t}n)" for x, e in zip(names, nums))]
     return code if w == 2 else code + _tower_code(t, ArithOp.MUL, xs, names)
+
+
+def _real_code(t: str, name: str, pair, xs: list[str], raw: str = "") -> list[str]:
+    """Statements that bind t_0 to the real kernel `name`, whose `pair` is (C
+    function, repair or None), on the scalars xs by the kernel contract: k_name
+    (or raw, or `/` for truediv), and r_name only where that raises."""
+    call = f"({', '.join(xs)})"
+    raw = raw or (" / ".join(xs) if pair[0] is operator.truediv else f"k_{name}{call}")
+    if pair[1] is None:
+        return [f"{t}_0 = {raw}"]
+    return [f"try: {t}_0 = {raw}", f"except (ArithmeticError, ValueError): {t}_0 = r_{name}{call}"]
 
 
 def _qpow_code(t: str, xs: list[str], n: int | str) -> list[str]:
@@ -338,32 +352,8 @@ def _qpow_code(t: str, xs: list[str], n: int | str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# The tower's kernels by kind pair: `_PAIR_KERNELS[op, kind_a, kind_b]` for
-# every pair of Scalar, Complex and Quaternion with a Complex or Quaternion
-# side.  Each is one generated function that reads each operand field once
-# (`_read_code`), runs `_tower_code` and builds its result (`_build_code`),
-# except a quaternion ^ by a Complex or Quaternion exponent, which raises.
-
-def _pair_kernels() -> dict:
-    ns, table = dict(_CODE_NS), {}
-    for (ka, fa), (kb, fb), op in product(_FIELDS.items(), _FIELDS.items(), ArithOp):
-        wa, wb = len(fa), len(fb)
-        w = max(wa, wb)
-        if w == 1:
-            continue  # the scalar branch of `value_binop`
-        if op is ArithOp.POW and w == 4 and wb > 1:
-            why = "quaternion power needs a scalar exponent" if wa == 4 else "quaternion exponents are not supported"
-            code = [f"raise UnsupportedPowError({why!r})"]
-        else:
-            code = _read_code("a", wa) + _read_code("b", wb) + _tower_code("t", op, _comps("a", wa), _comps("b", wb))
-            code += _build_code("t", w) + ["return t"]
-        name = f"{op.name.lower()}_{ka.__name__.lower()}_{kb.__name__.lower()}"
-        table[op, ka, kb] = _define(name, "a, b", code, ns)
-    return table
-
-
-_PAIR_KERNELS = _pair_kernels()
-
+# The operands that the generated kernels below have no branch for: vectors,
+# subclasses of the tower kinds, and other values.
 
 def _kind(v: object) -> type | None:
     """The tower kind (Scalar, Complex or Quaternion) that v's type derives from."""
@@ -374,30 +364,25 @@ def _outside(v: object) -> TypeError:  # for a value that is not a Vector and ha
     return TypeError(f"not a numeric tower value: {type(v).__name__}")
 
 
-def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
-    """Combine two values under `op`, promoting along the numeric tower."""
-    if isinstance(a, Scalar) and isinstance(b, Scalar):
-        raw, repair = _REAL_OPS[op]
-        try:
-            return _scalar(raw(a.x, b.x))
-        except (ArithmeticError, ValueError):
-            return _scalar(repair(a.x, b.x))
-    kernel = _PAIR_KERNELS.get((op, type(a), type(b)))
-    if kernel is not None:
-        return kernel(a, b)
+def _plain(v: Value, kind: type) -> Value:
+    """v, of a subclass of the tower kind `kind`, as a `kind` of the same fields."""
+    return kind(*[getattr(v, f) for f in _FIELDS[kind]])
+
+
+def _binop_rest(op: ArithOp, a: Value, b: Value) -> Value:
+    """`a op b` where `_BINOPS[op]` has no branch: vectors combine elementwise
+    with scalars broadcast, and subclasses of the tower kinds as their kind."""
     if isinstance(a, Vector) or isinstance(b, Vector):
         if isinstance(a, (Complex, Quaternion)) or isinstance(b, (Complex, Quaternion)):
-            raise KindMismatchError(
-                "vectors combine only with scalars or equal-length vectors"
-            )
+            raise KindMismatchError("vectors combine only with scalars or equal-length vectors")
         x = a.xs if isinstance(a, Vector) else repeat(a.x)
         y = b.xs if isinstance(b, Vector) else repeat(b.x)
         if isinstance(a, Vector) and isinstance(b, Vector) and len(x) != len(y):
             raise LengthMismatchError(f"vector lengths differ: {len(x)} vs {len(y)}")
         return _vector(_map_ieee(*_REAL_OPS[op], x, y, screen=_nan_bases if op is ArithOp.POW else None))
-    kernel = _PAIR_KERNELS.get((op, _kind(a), _kind(b)))  # subclasses of the tower kinds
-    if kernel is not None:
-        return kernel(a, b)
+    ka, kb = _kind(a), _kind(b)
+    if ka and kb:
+        return _BINOPS[op](_plain(a, ka), _plain(b, kb))
     raise TypeError(f"not numeric tower values: {type(a).__name__} {op.value} {type(b).__name__}")
 
 
@@ -464,32 +449,22 @@ _SCALAR_KERNELS = {
 }
 
 
-def _total(name: str, x: float) -> float:
-    """The real builtin `name` at x, repaired where its C function raises."""
-    raw, repair = _SCALAR_KERNELS[name]
-    try:
-        return raw(x)
-    except (ArithmeticError, ValueError):
-        return repair(x)
-
-
 # scan -> (operator, its identity): starting from the identity keeps the first
 # element 0.0 + x or 1.0 * x
 _SCAN_KERNELS = {"cumsum": (ArithOp.ADD, 0.0), "cumprod": (ArithOp.MUL, 1.0)}
 
-# principal-branch complex extensions, only where the surface language needs them
-_COMPLEX_KERNELS = {
-    "exp": lambda a: _complex(*_cexp_parts(a.re, a.im)),
-    "log": lambda a: _complex(*_clog_parts(a.re, a.im)),
-    "sqrt": lambda a: _complex(*_cpow_parts(a.re, a.im, 0.5, 0.0)),
-    "sin": lambda a: _complex(
-        _total("sin", a.re) * _total("cosh", a.im),
-        _total("cos", a.re) * _total("sinh", a.im),
-    ),
-    "cos": lambda a: _complex(
-        _total("cos", a.re) * _total("cosh", a.im),
-        -_total("sin", a.re) * _total("sinh", a.im),
-    ),
+# (name, w) -> statements that bind t_0 .. to builtin `name` at a_0 .. a_{w-1}:
+# each real builtin by its contract, and the principal-branch complex ones
+# that the surface language needs (sin and cos from real sin, cos, cosh, sinh)
+_TRIG = [s for t, name, x in (("s", "sin", "a_0"), ("c", "cos", "a_0"), ("h", "cosh", "a_1"), ("g", "sinh", "a_1"))
+         for s in _real_code(t, name, _SCALAR_KERNELS[name], [x])]
+_BUILTIN_CODE = {
+    **{(name, 1): _real_code("t", name, pair, ["a_0"]) for name, pair in _SCALAR_KERNELS.items()},
+    ("exp", 2): ["t_0, t_1 = cexp(a_0, a_1)"],
+    ("log", 2): ["t_0, t_1 = clog(a_0, a_1)"],
+    ("sqrt", 2): ["t_0, t_1 = cpow(a_0, a_1, 0.5, 0.0)"],
+    ("sin", 2): _TRIG + ["t_0 = s_0 * h_0", "t_1 = c_0 * g_0"],
+    ("cos", 2): _TRIG + ["t_0 = c_0 * h_0", "t_1 = -s_0 * g_0"],
 }
 
 # kernel-table order, which seeded draws over `algebra.PRIMITIVES` depend on
@@ -497,40 +472,80 @@ BUILTIN_ORDER = tuple(_SCALAR_KERNELS) + tuple(_SCAN_KERNELS)
 BUILTIN_NAMES = frozenset(BUILTIN_ORDER)
 
 
-def apply_builtin(name: str, a: Value) -> Value:
-    """Apply the named builtin kernel to a value.
-
-    Scalars use the scalar kernel, vectors map it elementwise (except the
-    prefix scans cumsum/cumprod, which are vector-to-vector), complex values
-    support the principal-branch subset, and quaternions support only abs
-    (the norm).
-    """
+def _builtin_rest(name: str, a: Value) -> Value:
+    """The builtin `name` at a, where `_BUILTINS[name]` has no branch (the
+    kinds are in `apply_builtin`); a subclass of Scalar or Complex is taken
+    as its kind."""
     if name in _SCAN_KERNELS:
         if not isinstance(a, Vector):
             raise UnsupportedKindError(f"{name} needs a vector") if _kind(a) else _outside(a)
         op, start = _SCAN_KERNELS[name]
         return _vector(tuple(accumulate(a.xs, _REAL_OPS[op][0], initial=start))[1:])
-
-    kernel = _SCALAR_KERNELS.get(name)
-    if kernel is None:
-        raise UnknownPrimitiveError(f"unknown primitive '{name}'")
-    raw, repair = kernel
-    if isinstance(a, Scalar):
-        try:
-            x = raw(a.x)
-        except (ArithmeticError, ValueError):
-            x = repair(a.x)
-        return _scalar(x)
     if isinstance(a, Vector):
-        return _vector(_map_ieee(raw, repair, a.xs))
-    if isinstance(a, Complex):
-        ck = _COMPLEX_KERNELS.get(name)
-        if ck is None:
-            raise UnsupportedKindError(f"{name} is not defined for complex values")
-        return ck(a)
+        return _vector(_map_ieee(*_SCALAR_KERNELS[name], a.xs))
+    if type(a) is Complex:
+        raise UnsupportedKindError(f"{name} is not defined for complex values")
+    if isinstance(a, (Scalar, Complex)):
+        return _BUILTINS[name](_plain(a, _kind(a)))
     if name == "abs" and isinstance(a, Quaternion):
         return _scalar(math.hypot(a.w, a.x, a.y, a.z))
     raise UnsupportedKindError(f"{name} is not defined for quaternions") if isinstance(a, Quaternion) else _outside(a)
+
+
+# ---------------------------------------------------------------------------
+# The kernels the tree walker calls, one generated function each: a branch per
+# exact kind (pair) reads each field once, computes by `_tower_code` or
+# `_BUILTIN_CODE` and builds its result; a quaternion ^ by a Complex or
+# Quaternion exponent raises.  Other operands go to the rests above.
+
+def _binop_code(op: ArithOp) -> list[str]:
+    code = ["ka = type(a)", "kb = type(b)"]
+    for wa, wb in product(_WIDTH_KINDS, repeat=2):
+        w = max(wa, wb)
+        if op is ArithOp.POW and w == 4 and wb > 1:
+            why = "quaternion power needs a scalar exponent" if wa == 4 else "quaternion exponents are not supported"
+            body = [f"raise UnsupportedPowError({why!r})"]
+        else:
+            body = _read_code("a", wa) + _read_code("b", wb) + _tower_code("t", op, _comps("a", wa), _comps("b", wb))
+            body += _build_code("t", w) + ["return t"]
+        code += [f"if ka is kind{wa}:"] * (wb == 1) + [f"    if kb is kind{wb}:", *("        " + s for s in body)]
+    return code + [f"return binop_rest({op.name}, a, b)"]
+
+
+def _builtin_code(name: str) -> list[str]:
+    code = []
+    for w in (1, 2):
+        if (name, w) in _BUILTIN_CODE:
+            body = _read_code("a", w) + _BUILTIN_CODE[name, w] + _build_code("t", w) + ["return t"]
+            code += [f"if type(a) is kind{w}:", *("    " + s for s in body)]
+    return code + [f"return builtin_rest({name!r}, a)"]
+
+
+# the names kernels call, with each real kernel's C function k_NAME and repair r_NAME
+_KERNEL_NS = {**_CODE_NS, "binop_rest": _binop_rest, "builtin_rest": _builtin_rest, "cexp": _cexp_parts, "clog": _clog_parts,
+              **{op.name: op for op in ArithOp},
+              **{f"{p}_{name}": f for name, pair in [*((op.name, k) for op, k in _REAL_OPS.items()), *_SCALAR_KERNELS.items()]
+                 for p, f in zip("kr", pair)}}
+_BINOPS = {op: _define(op.name.lower(), "a, b", _binop_code(op), _KERNEL_NS) for op in ArithOp}
+_BUILTINS = {name: _define(name, "a", _builtin_code(name), _KERNEL_NS) for name in BUILTIN_ORDER}
+
+
+def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
+    """Combine two values under `op`, promoting along the numeric tower."""
+    return _BINOPS[op](a, b)
+
+
+def apply_builtin(name: str, a: Value) -> Value:
+    """Apply the named builtin kernel to a value.
+
+    Scalars use the scalar kernel, vectors map it elementwise (except the
+    prefix scans cumsum/cumprod, which are vector-to-vector), complex values
+    support exp, log, sqrt, sin and cos, and quaternions support only abs
+    (the norm).
+    """
+    if name not in _BUILTINS:
+        raise UnknownPrimitiveError(f"unknown primitive '{name}'")
+    return _BUILTINS[name](a)
 
 
 # ---------------------------------------------------------------------------

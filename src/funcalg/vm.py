@@ -49,15 +49,15 @@ tree walker's kernels: `_read_code` reads a boxed value's fields into
 locals, `_build_code` builds a value from them inline, and `_tower_code`
 writes `+ - * /` from `_TOWER_OPS`, padding the narrower operand with 0.0
 (promotion), complex `^` as one `_cpow_parts` call, and a quaternion `^`
-by a `Scalar` constant from 0 to `_POW_UNROLL` as the pair kernel's
+by a `Scalar` constant from 0 to `_POW_UNROLL` as the `^` kernel's
 square-and-multiply loop unrolled into Hamilton products (`_qpow_code`).
 Negation is inline too, and scalar `/`, with `_ieee_div` where it raises.
-Scalar `^` and scalar builtins are their real kernel: the C function, and
-the repair where it raises; a `^` by a constant finite non-integer exponent
-first maps a negative finite base to NaN, the repair's answer.  The rest
-(other quaternion `^`, complex and quaternion builtins, scans, CALL_DEF)
-builds its operands, calls the kernel or the body's lane, and reads the
-result's fields by its known kind.  `run` tries the all-`Scalar` lane
+Scalar `^` and scalar builtins are their real kernel (`_real_code`): the
+C function, and the repair where it raises; a `^` by a constant finite
+non-integer exponent first maps a negative finite base to NaN, the
+repair's answer.  The rest (other quaternion `^`, complex and quaternion
+builtins, scans, CALL_DEF) builds its operands, calls the kernel or the
+body's lane, and reads the result's fields by its known kind.  `run` tries the all-`Scalar` lane
 first, with no signature lookup; it counts the runs that find no lane and,
 from the `_LANE_AFTER`-th (never at compile time), builds the run's lane.
 `Scalar` subclasses and leaves stay laneless.
@@ -101,7 +101,7 @@ from .errors import (
     InvalidProgramError,
 )
 from .values import ArithOp, BUILTIN_NAMES, Scalar, Value, Vector, apply_builtin, format_value, same_value, value_binop, value_neg
-from .values import _CODE_NS, _FIELDS, _REAL_OPS, _SCALAR_KERNELS, _SCAN_KERNELS, _TOWER_OPS, _WIDTH_KINDS, _build_code, _comps, _define, _read_code, _tower_code, _vector
+from .values import _CODE_NS, _FIELDS, _REAL_OPS, _SCALAR_KERNELS, _SCAN_KERNELS, _TOWER_OPS, _WIDTH_KINDS, _build_code, _comps, _define, _read_code, _real_code, _tower_code, _vector
 
 
 class Op(Enum):
@@ -336,16 +336,9 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         return x, w
 
     def kernel(t: str, name: str, pair, *xs: tuple[str, int], raw: str = "") -> tuple[str, int]:
-        """Bind t_0 to a real kernel pair (C function, repair or None) on the
-        scalars xs: the C function (or the same operation written `raw`), and
-        the repair where it raises."""
+        """Bind t_0 to the real kernel `name` on the scalars xs (`_real_code`), with its pair in ns."""
         ns[f"k_{name}"], ns[f"r_{name}"] = pair
-        call = f"({', '.join(x + '_0' for x, _ in xs)})"
-        raw = raw or f"k_{name}{call}"
-        if pair[1] is None:
-            lines.append(f"{t}_0 = {raw}")
-        else:
-            lines.extend([f"try: {t}_0 = {raw}", f"except (ArithmeticError, ValueError): {t}_0 = r_{name}{call}"])
+        lines.extend(_real_code(t, name, pair, [x + "_0" for x, _ in xs], raw))
         return t, 1
 
     def inline(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> tuple[str, int]:
@@ -389,7 +382,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             x = stack[-1]
             w = max(x[1], y[1])
             if w == 1 and (a, w) not in _TOWER_OPS:  # scalar / (inline) and ^
-                raw = f"{x[0]}_0 / {y[0]}_0" if a is ArithOp.DIV else ""
+                raw = ""
                 if a is ArithOp.POW and type(c := ns.get(y[0])) is Scalar and math.isfinite(c.x) and not c.x.is_integer():
                     # a constant non-integer exponent: a negative finite base's NaN is inline, not raised
                     ns["nan"], ns["inf"] = math.nan, math.inf

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+import funcalg.values
+import funcalg.vm
 from funcalg import (
     PRIMITIVES,
     Prim,
@@ -13,7 +15,9 @@ from funcalg import (
     apply,
     apply_builtin,
     builtin,
+    compile_expr,
     evaluate,
+    run,
     same_value,
 )
 
@@ -69,3 +73,24 @@ def test_sum_of_prims_at_chained_subterm():
     tree = builtin("sin") + builtin("log")
     got = evaluate(tree, (Scalar(u),))
     assert got == Scalar(math.sin(u) + math.log(u))  # 0.5178158401640569
+
+
+_BUILTIN_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, -1.0, 1000.0, 1e308]
+
+
+@pytest.mark.parametrize("name", sorted(funcalg.values._SCALAR_KERNELS))
+def test_each_scalar_builtin_is_its_kernel_or_repair_at_edge_values(name, monkeypatch):
+    # the tree walker, apply_builtin and the VM loop (never a lane) all give the
+    # C function's result, or the repair's where it raises, float.hex for float.hex
+    raw, repair = funcalg.values._SCALAR_KERNELS[name]
+    monkeypatch.setattr(funcalg.vm, "_LANE_AFTER", math.inf)
+    p = compile_expr(builtin(name))
+    for x in _BUILTIN_EDGES:
+        try:
+            want = raw(x)
+        except (ArithmeticError, ValueError):
+            want = repair(x)
+        args = (Scalar(x),)
+        for got in (evaluate(builtin(name), args), apply_builtin(name, Scalar(x)), run(p, args)):
+            assert type(got) is Scalar and got.x.hex() == want.hex(), (name, x, got)
+    assert p._lanes == {} and p._lane is None
