@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import Apply, Arity, Def, FuncExpr, evaluate_constant
 from .errors import (
@@ -131,20 +131,17 @@ class Session:
         if name == "ast":
             self._print(print_expr(parse_expression(args, self.env, line_no)))
             return True
-        if name == "backend":
-            choice = cmd.args.strip()
-            if choice not in BACKENDS:
-                raise ParseError(f"{at}backend must be one of {', '.join(BACKENDS)}")
-            self.config.backend = choice
-            return True
-        if name == "digits":
-            try:
-                digits = int(cmd.args.strip())
-            except ValueError:
-                raise ParseError(f"{at}':digits' needs an integer") from None
-            if not 1 <= digits <= 17:
-                raise ParseError(f"{at}digits must be between 1 and 17")
-            self.config.digits = digits
+        if name in ("backend", "digits"):
+            value = cmd.args.strip()
+            if name == "digits":
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ParseError(f"{at}':digits' needs an integer") from None
+            try:  # SessionConfig checks each setting's range or choice
+                self.config = replace(self.config, **{name: value})
+            except ValueError as err:
+                raise ParseError(f"{at}{err}") from None
             return True
         if name == "bench":
             tree = parse_expression(args, self.env, line_no)

@@ -213,24 +213,24 @@ def _cpow_parts(a0: float, a1: float, b0: float, b1: float) -> tuple[float, floa
 # Tower arithmetic, written once.  Generated code holds a value of width w
 # (its number of float fields) as the locals x_0 .. x_{w-1}: `_read_code`
 # reads a boxed value into them, `_build_code` builds one from them, and
-# `_tower_code` writes each + - * / component formula of `_TOWER_OPS` as
-# statements on them, padding the narrower operand with 0.0 (promotion:
-# Scalar -> Complex -> Quaternion), real / and ^ by `_real_code`, and
-# quaternion ^ by `_qpow_code`.  The builders `_scalar`, `_complex` and
-# `_quat`, the kernels `_BINOPS` and `_BUILTINS` and the lanes of `vm` are all
-# generated from these, in the namespace `_CODE_NS`, so they do the same IEEE
-# operations in the same order; `_define` compiles them all and keeps their source.
+# `_tower_code` and `_prim_code` write each operator at each pair of widths and
+# each builtin at each width as statements on them (a raise where it is not
+# defined), promoting by padding the narrower operand with 0.0.  The builders
+# `_scalar`, `_complex` and `_quat`, the kernels `_BINOPS` and `_BUILTINS` and
+# the lanes of `vm` are all generated from these, in the namespace `_CODE_NS`,
+# so they do the same IEEE operations in the same order and raise the same
+# errors; `_define` compiles them all and keeps their source.
 
 # The value types held as float fields, and their fields; `_WIDTH_KINDS[w]`
 # is the type of width w.
 _FIELDS = {t: t.__slots__ for t in (Scalar, Complex, Quaternion)}
 _WIDTH_KINDS = {len(f): t for t, f in _FIELDS.items()}
 
-# The names that generated code calls: `new(kind{w})` makes a bare value of
-# width w, and `set{w}_{j}` stores its field j as is (kernel results are
-# already floats); `_tower_code` calls `ieee_div`, `cpow` and, for quaternion
-# ^, `UnsupportedPowError`.
-_CODE_NS = {"new": object.__new__, "ieee_div": _ieee_div, "cpow": _cpow_parts, "UnsupportedPowError": UnsupportedPowError,
+# The names that generated code calls, other than the real kernels (`_real_kernels`):
+# `new(kind{w})` makes a bare value of width w, and `set{w}_{j}` stores its
+# field j as is (kernel results are already floats).
+_CODE_NS = {"new": object.__new__, "ieee_div": _ieee_div, "cpow": _cpow_parts, "cexp": _cexp_parts, "clog": _clog_parts,
+            "hypot": math.hypot, "UnsupportedPowError": UnsupportedPowError, "UnsupportedKindError": UnsupportedKindError,
             **{f"kind{len(fs)}": t for t, fs in _FIELDS.items()},
             **{f"set{len(fs)}_{j}": getattr(t, f).__set__ for t, fs in _FIELDS.items() for j, f in enumerate(fs)}}
 
@@ -289,13 +289,16 @@ def _tower_code(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> list[str]:
     """Statements that bind t_0 .. t_{w-1} to `xs op ys` on the component
     expressions xs and ys, the narrower padded with 0.0 to the width w of the
     wider, by `_TOWER_OPS`; a real `/` or `^` is `_real_code`, a complex `^`
-    calls `cpow`, and a quaternion one
-    is `_qpow_code` by ys[0], a Scalar's name or an int.  A complex or
+    calls `cpow`, and a quaternion one is `_qpow_code` by ys[0], a Scalar's
+    name or an int, or a raise for a wider exponent.  A complex or
     quaternion `/` binds the divisor's squared norm tn and divides by it: a
     complex one's numerators, a quaternion one's divisor to its inverse ti0
     .. ti3, testing tn once: plain `/` where tn is nonzero (NaN and infinity
     too), `ieee_div` where it is zero."""
     w = max(len(xs), len(ys))
+    if op is ArithOp.POW and w == 4 and len(ys) > 1:
+        why = "quaternion power needs a scalar exponent" if len(xs) == 4 else "quaternion exponents are not supported"
+        return [f"raise UnsupportedPowError({why!r})"]
     xs, ys = (list(v) + ["0.0"] * (w - len(v)) for v in (xs, ys))
     if w == 1 and (op, w) not in _TOWER_OPS:  # real / and ^
         return _real_code(t, op.name, _REAL_OPS[op], xs + ys)
@@ -328,17 +331,19 @@ def _qpow_code(t: str, xs: list[str], n: int | str) -> list[str]:
     """Statements that bind t_0 .. t_3 to the quaternion xs to the power n by
     square-and-multiply over `_tower_code`'s Hamilton product (associativity
     makes it the repeated product): for a float's name n, a loop over its
-    bits that rebinds the names xs, once n is checked to be a non-negative
-    integer (else it raises); for an int n, unrolled."""
+    bits that squares a copy tb_0 .. tb_3 of xs (whose names a lane may
+    share; one statement per component builds no tuple), once n is checked
+    to be a non-negative integer (else it raises); for an int n, unrolled."""
     acc, code, k = ["1.0", "0.0", "0.0", "0.0"], [], 0
     if type(n) is str:
-        ts, ms, ss = (", ".join(_comps(v, 4)) for v in (t, f"{t}m", f"{t}s"))
-        step = lambda u, a, b: ["        " + s for s in _tower_code(u, ArithOp.MUL, a, b)]
+        b = _comps(f"{t}b", 4)
+        ts, ms, ss, bs = (", ".join(_comps(v, 4)) for v in (t, f"{t}m", f"{t}s", f"{t}b"))
+        step = lambda u, x, y: ["        " + s for s in _tower_code(u, ArithOp.MUL, x, y)]
         return [f"if not ({n}.is_integer() and {n} >= 0):",
                 "    raise UnsupportedPowError('quaternion power is defined only for non-negative integer exponents')",
-                f"{t}e = int({n})", f"{ts} = {', '.join(acc)}", f"while {t}e:", f"    if {t}e & 1:",
-                *step(f"{t}m", _comps(t, 4), xs), f"        {ts} = {ms}", f"    {t}e >>= 1", f"    if {t}e:",
-                *step(f"{t}s", xs, xs), f"        {', '.join(xs)} = {ss}"]
+                f"{t}e = int({n})", f"{ts} = {', '.join(acc)}", *map("{} = {}".format, b, xs), f"while {t}e:",
+                f"    if {t}e & 1:", *step(f"{t}m", _comps(t, 4), b), f"        {ts} = {ms}", f"    {t}e >>= 1",
+                f"    if {t}e:", *step(f"{t}s", b, b), f"        {bs} = {ss}"]
     while n:
         if n & 1:
             code += _tower_code(f"{t}m{k}", ArithOp.MUL, acc, xs)
@@ -453,18 +458,17 @@ _SCALAR_KERNELS = {
 # element 0.0 + x or 1.0 * x
 _SCAN_KERNELS = {"cumsum": (ArithOp.ADD, 0.0), "cumprod": (ArithOp.MUL, 1.0)}
 
-# (name, w) -> statements that bind t_0 .. to builtin `name` at a_0 .. a_{w-1}:
-# each real builtin by its contract, and the principal-branch complex ones
-# that the surface language needs (sin and cos from real sin, cos, cosh, sinh)
-_TRIG = [s for t, name, x in (("s", "sin", "a_0"), ("c", "cos", "a_0"), ("h", "cosh", "a_1"), ("g", "sinh", "a_1"))
-         for s in _real_code(t, name, _SCALAR_KERNELS[name], [x])]
-_BUILTIN_CODE = {
-    **{(name, 1): _real_code("t", name, pair, ["a_0"]) for name, pair in _SCALAR_KERNELS.items()},
-    ("exp", 2): ["t_0, t_1 = cexp(a_0, a_1)"],
-    ("log", 2): ["t_0, t_1 = clog(a_0, a_1)"],
-    ("sqrt", 2): ["t_0, t_1 = cpow(a_0, a_1, 0.5, 0.0)"],
-    ("sin", 2): _TRIG + ["t_0 = s_0 * h_0", "t_1 = c_0 * g_0"],
-    ("cos", 2): _TRIG + ["t_0 = c_0 * h_0", "t_1 = -s_0 * g_0"],
+# complex builtin -> its templates on the result t and the operand's components
+# a, on the principal branch; sin and cos bind the real sin, cos, cosh and sinh
+# by their contract to s_0, c_0, h_0 and g_0 and read them at once
+_COMPLEX_OPS = {
+    "exp": ("{t}_0, {t}_1 = cexp({a[0]}, {a[1]})",),
+    "log": ("{t}_0, {t}_1 = clog({a[0]}, {a[1]})",),
+    "sqrt": ("{t}_0, {t}_1 = cpow({a[0]}, {a[1]}, 0.5, 0.0)",),
+    **{name: (*(s for v, k, j in (("s", "sin", 0), ("c", "cos", 0), ("h", "cosh", 1), ("g", "sinh", 1))
+                for s in _real_code(v, k, _SCALAR_KERNELS[k], [f"{{a[{j}]}}"])), *parts)
+       for name, parts in (("sin", ("{t}_0 = s_0 * h_0", "{t}_1 = c_0 * g_0")),
+                           ("cos", ("{t}_0 = c_0 * h_0", "{t}_1 = -s_0 * g_0")))},
 }
 
 # kernel-table order, which seeded draws over `algebra.PRIMITIVES` depend on
@@ -472,60 +476,74 @@ BUILTIN_ORDER = tuple(_SCALAR_KERNELS) + tuple(_SCAN_KERNELS)
 BUILTIN_NAMES = frozenset(BUILTIN_ORDER)
 
 
+def _prim_code(t: str, name: str, xs: list[str]) -> tuple[list[str], int]:
+    """Statements that bind t_0 .. to the builtin `name` at the components xs
+    of a Scalar, Complex or Quaternion, and the result's width: a real kernel
+    by its contract (`_real_code`), a complex one by `_COMPLEX_OPS`, a
+    quaternion's norm by `hypot`, and a raise for every other kind."""
+    w = len(xs)
+    if w == 1 and name in _SCALAR_KERNELS:
+        return _real_code(t, name, _SCALAR_KERNELS[name], xs), 1
+    if w == 2 and name in _COMPLEX_OPS:
+        return [s.format(t=t, a=xs) for s in _COMPLEX_OPS[name]], 2
+    if w == 4 and name == "abs":
+        return [f"{t}_0 = hypot({', '.join(xs)})"], 1
+    why = f"{name} needs a vector" if name in _SCAN_KERNELS else \
+        f"{name} is not defined for {'complex values' if w == 2 else 'quaternions'}"
+    return [f"raise UnsupportedKindError({why!r})"], w
+
+
 def _builtin_rest(name: str, a: Value) -> Value:
-    """The builtin `name` at a, where `_BUILTINS[name]` has no branch (the
-    kinds are in `apply_builtin`); a subclass of Scalar or Complex is taken
-    as its kind."""
-    if name in _SCAN_KERNELS:
-        if not isinstance(a, Vector):
-            raise UnsupportedKindError(f"{name} needs a vector") if _kind(a) else _outside(a)
-        op, start = _SCAN_KERNELS[name]
-        return _vector(tuple(accumulate(a.xs, _REAL_OPS[op][0], initial=start))[1:])
+    """The builtin `name` at a, where `_BUILTINS[name]` has no branch: a
+    vector's elements (a scan's running sums or products), and a subclass of
+    a tower kind as its kind."""
     if isinstance(a, Vector):
+        if name in _SCAN_KERNELS:
+            op, start = _SCAN_KERNELS[name]
+            return _vector(tuple(accumulate(a.xs, _REAL_OPS[op][0], initial=start))[1:])
         return _vector(_map_ieee(*_SCALAR_KERNELS[name], a.xs))
-    if type(a) is Complex:
-        raise UnsupportedKindError(f"{name} is not defined for complex values")
-    if isinstance(a, (Scalar, Complex)):
-        return _BUILTINS[name](_plain(a, _kind(a)))
-    if name == "abs" and isinstance(a, Quaternion):
-        return _scalar(math.hypot(a.w, a.x, a.y, a.z))
-    raise UnsupportedKindError(f"{name} is not defined for quaternions") if isinstance(a, Quaternion) else _outside(a)
+    if kind := _kind(a):
+        return _BUILTINS[name](_plain(a, kind))
+    raise _outside(a)
 
 
 # ---------------------------------------------------------------------------
 # The kernels the tree walker calls, one generated function each: a branch per
-# exact kind (pair) reads each field once, computes by `_tower_code` or
-# `_BUILTIN_CODE` and builds its result; a quaternion ^ by a Complex or
-# Quaternion exponent raises.  Other operands go to the rests above.
+# exact kind (pair) computes by `_tower_code` or `_prim_code`; unless that
+# raises, it reads each field once first and builds its result after.  Other
+# operands go to the rests above.
+
+def _branch(reads: list[str], code: list[str], w: int) -> list[str]:
+    """A kernel's branch: code alone if it raises, else the operands' reads,
+    code, and the result t of width w built and returned."""
+    return code if code[0].startswith("raise ") else reads + code + _build_code("t", w) + ["return t"]
+
 
 def _binop_code(op: ArithOp) -> list[str]:
     code = ["ka = type(a)", "kb = type(b)"]
     for wa, wb in product(_WIDTH_KINDS, repeat=2):
-        w = max(wa, wb)
-        if op is ArithOp.POW and w == 4 and wb > 1:
-            why = "quaternion power needs a scalar exponent" if wa == 4 else "quaternion exponents are not supported"
-            body = [f"raise UnsupportedPowError({why!r})"]
-        else:
-            body = _read_code("a", wa) + _read_code("b", wb) + _tower_code("t", op, _comps("a", wa), _comps("b", wb))
-            body += _build_code("t", w) + ["return t"]
+        body = _branch(_read_code("a", wa) + _read_code("b", wb),
+                       _tower_code("t", op, _comps("a", wa), _comps("b", wb)), max(wa, wb))
         code += [f"if ka is kind{wa}:"] * (wb == 1) + [f"    if kb is kind{wb}:", *("        " + s for s in body)]
     return code + [f"return binop_rest({op.name}, a, b)"]
 
 
 def _builtin_code(name: str) -> list[str]:
     code = []
-    for w in (1, 2):
-        if (name, w) in _BUILTIN_CODE:
-            body = _read_code("a", w) + _BUILTIN_CODE[name, w] + _build_code("t", w) + ["return t"]
-            code += [f"if type(a) is kind{w}:", *("    " + s for s in body)]
+    for w in _WIDTH_KINDS:
+        body = _branch(_read_code("a", w), *_prim_code("t", name, _comps("a", w)))
+        code += [f"if type(a) is kind{w}:", *("    " + s for s in body)]
     return code + [f"return builtin_rest({name!r}, a)"]
 
 
-# the names kernels call, with each real kernel's C function k_NAME and repair r_NAME
-_KERNEL_NS = {**_CODE_NS, "binop_rest": _binop_rest, "builtin_rest": _builtin_rest, "cexp": _cexp_parts, "clog": _clog_parts,
-              **{op.name: op for op in ArithOp},
-              **{f"{p}_{name}": f for name, pair in [*((op.name, k) for op, k in _REAL_OPS.items()), *_SCALAR_KERNELS.items()]
-                 for p, f in zip("kr", pair)}}
+def _real_kernels() -> dict:
+    """Each real kernel's C function k_NAME and repair r_NAME, as the tables hold them now."""
+    return {f"{p}_{name}": f for name, pair in [*((op.name, k) for op, k in _REAL_OPS.items()), *_SCALAR_KERNELS.items()]
+            for p, f in zip("kr", pair)}
+
+
+_KERNEL_NS = {**_CODE_NS, "binop_rest": _binop_rest, "builtin_rest": _builtin_rest,
+              **{op.name: op for op in ArithOp}, **_real_kernels()}
 _BINOPS = {op: _define(op.name.lower(), "a, b", _binop_code(op), _KERNEL_NS) for op in ArithOp}
 _BUILTINS = {name: _define(name, "a", _builtin_code(name), _KERNEL_NS) for name in BUILTIN_ORDER}
 

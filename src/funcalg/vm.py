@@ -44,23 +44,20 @@ value numbering): an operator, builtin, negation or definition call whose
 opcode, payload and operand names (a call's: its frame's arguments) match
 an earlier one's emits no code and names that one's result, and equal
 constants (of equal bits, or a Vector: the same object) share one name.
-Lanes are written in the vocabulary of `values` that also generates the
-tree walker's kernels: `_read_code` reads a boxed value's fields into
-locals, `_build_code` builds a value from them inline, and `_tower_code`
-writes `+ - * /` from `_TOWER_OPS`, padding the narrower operand with 0.0
-(promotion), complex `^` as one `_cpow_parts` call, and a quaternion `^`
-by a `Scalar` constant from 0 to `_POW_UNROLL` as the `^` kernel's
-square-and-multiply loop unrolled into Hamilton products (`_qpow_code`).
-Negation is inline too, and scalar `/`, with `_ieee_div` where it raises.
-Scalar `^` and scalar builtins are their real kernel (`_real_code`): the
-C function, and the repair where it raises; a `^` by a constant finite
-non-integer exponent first maps a negative finite base to NaN, the
-repair's answer.  The rest (other quaternion `^`, complex and quaternion
-builtins, scans, CALL_DEF) builds its operands, calls the kernel or the
-body's lane, and reads the result's fields by its known kind.  `run` tries the all-`Scalar` lane
-first, with no signature lookup; it counts the runs that find no lane and,
-from the `_LANE_AFTER`-th (never at compile time), builds the run's lane.
-`Scalar` subclasses and leaves stay laneless.
+Lanes are written by the code writers of `values` that also write the tree
+walker's kernels: `_read_code` reads a boxed value's fields into locals,
+`_build_code` builds a value from them, and `_tower_code` and `_prim_code`
+write each operator and builtin at its operands' widths, raises included,
+so a lane runs a kernel's statements inline.  Two constant exponents differ:
+a quaternion `^` by a `Scalar` from 0 to `_POW_UNROLL` is the kernel's
+square-and-multiply loop unrolled (`_qpow_code`), and a scalar `^` by a
+finite non-integer maps a negative finite base to NaN, the repair's answer,
+without a raise.  A lane boxes values only to call a body's lane (CALL_DEF)
+and to return, and binds the real kernels it calls (`values._real_kernels`)
+when it is built.  `run` tries the all-`Scalar` lane first, with no
+signature lookup; it counts the runs that find no lane and, from the
+`_LANE_AFTER`-th (never at compile time), builds the run's lane.  `Scalar`
+subclasses and leaves stay laneless.
 A vector signature's lane is one `for` loop over the elements (a
 `zip(..., strict=True)` of the vector arguments and constants that an
 operator reads or the program returns, if several) in which each element
@@ -87,6 +84,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 import time
 from dataclasses import dataclass, field
@@ -101,7 +99,7 @@ from .errors import (
     InvalidProgramError,
 )
 from .values import ArithOp, BUILTIN_NAMES, Scalar, Value, Vector, apply_builtin, format_value, same_value, value_binop, value_neg
-from .values import _CODE_NS, _FIELDS, _REAL_OPS, _SCALAR_KERNELS, _SCAN_KERNELS, _TOWER_OPS, _WIDTH_KINDS, _build_code, _comps, _define, _read_code, _real_code, _tower_code, _vector
+from .values import _CODE_NS, _FIELDS, _REAL_OPS, _SCAN_KERNELS, _WIDTH_KINDS, _build_code, _comps, _define, _prim_code, _read_code, _real_code, _real_kernels, _tower_code, _vector
 
 
 class Op(Enum):
@@ -306,7 +304,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
     vector = p.arity.is_fixed and Vector in kinds and all(t is Scalar or t is Vector for t in kinds)
     if p.leaves or not (vector or all(t in _FIELDS for t in kinds)):
         return False
-    ns = {**_CODE_NS, "value_binop": value_binop, "apply_builtin": apply_builtin, "POW": ArithOp.POW, "boxv": _vector}
+    ns = {**_CODE_NS, "boxv": _vector}
     helpers = len(ns)
     names = {}  # constants' names by their fields' bits (0.0 is not -0.0), a Vector's by identity
     consts = []  # the name of each constant: equal ones share the first one's
@@ -334,17 +332,6 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         lines.extend(_read_code(x, w))
         boxed.add(x)
         return x, w
-
-    def kernel(t: str, name: str, pair, *xs: tuple[str, int], raw: str = "") -> tuple[str, int]:
-        """Bind t_0 to the real kernel `name` on the scalars xs (`_real_code`), with its pair in ns."""
-        ns[f"k_{name}"], ns[f"r_{name}"] = pair
-        lines.extend(_real_code(t, name, pair, [x + "_0" for x, _ in xs], raw))
-        return t, 1
-
-    def inline(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> tuple[str, int]:
-        """Bind t_0 .. to `xs op ys` on the components xs and ys (`_tower_code`)."""
-        lines.extend(_tower_code(t, op, xs, ys))
-        return t, max(len(xs), len(ys))
 
     def box(v: tuple[str, int]) -> str:
         if v[0] not in boxed:
@@ -379,22 +366,17 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             stack.append(frame[a])
         elif op is _BINARY:
             y = stack.pop()
-            x = stack[-1]
-            w = max(x[1], y[1])
-            if w == 1 and (a, w) not in _TOWER_OPS:  # scalar / (inline) and ^
-                raw = ""
-                if a is ArithOp.POW and type(c := ns.get(y[0])) is Scalar and math.isfinite(c.x) and not c.x.is_integer():
-                    # a constant non-integer exponent: a negative finite base's NaN is inline, not raised
-                    ns["nan"], ns["inf"] = math.nan, math.inf
-                    raw = f"nan if -inf < {x[0]}_0 < 0.0 else k_POW({x[0]}_0, {y[0]}_0)"
-                stack[-1] = kernel(t, a.name, _REAL_OPS[a], x, y, raw=raw)
-            elif a is not ArithOp.POW or w == 2:
-                stack[-1] = inline(t, a, comps(x), comps(y))
-            elif x[1] == 4 and type(c := ns.get(y[0])) is Scalar and c.x in range(_POW_UNROLL + 1):
-                # y is a constant (of the stack's names, ns binds only theirs): unrolled
-                stack[-1] = inline(t, a, comps(x), [int(c.x)])
-            else:  # other quaternion ^: a computed or larger exponent, or one that raises
-                stack[-1] = unbox(t, w, f"value_binop(POW, {box(x)}, {box(y)})")
+            xs, ys = comps(stack[-1]), comps(y)
+            # ^ by a constant c (of the stack's names, ns binds only theirs) that is a Scalar
+            c = ns.get(y[0]) if a is ArithOp.POW else None
+            if type(c) is Scalar and len(xs) == 4 and c.x in range(_POW_UNROLL + 1):
+                ys = [int(c.x)]  # unrolled
+            if type(c) is Scalar and len(xs) == 1 and math.isfinite(c.x) and not c.x.is_integer():
+                # a non-integer: a negative finite base's NaN is inline, not raised
+                lines.extend(_real_code(t, "POW", _REAL_OPS[a], xs + ys, f"nan if -inf < {xs[0]} < 0.0 else k_POW({xs[0]}, {ys[0]})"))
+            else:
+                lines.extend(_tower_code(t, a, xs, ys))
+            stack[-1] = (t, max(len(xs), len(ys)))
         elif op is _BEGIN_FRAME:
             saved.append(frame)
             frame = stack[-a:]
@@ -404,17 +386,15 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         elif op is _LOAD_CONST:
             stack.append((consts[a], _LANE_WIDTHS[type(p.constants[a])]))
         elif op is _CALL_PRIM:
-            w = stack[-1][1]
-            if w == 1 and a in _SCALAR_KERNELS:
-                stack[-1] = kernel(t, a, _SCALAR_KERNELS[a], stack[-1])
-            elif vector:  # a scan: a running local, from the identity, as `accumulate`
+            code, w = _prim_code(t, a, comps(stack[-1]))
+            if vector and a in _SCAN_KERNELS:  # a running local, from the identity, as `accumulate`
                 if lines is pre:
                     return False  # of a scalar, which raises
                 step, start = _SCAN_KERNELS[a]
                 pre.append(f"{t}_0 = {start!r}")
-                stack[-1] = inline(t, step, [f"{t}_0"], comps(stack[-1]))
-            else:  # complex and quaternion kernels (abs gives a scalar); a scan raises
-                stack[-1] = unbox(t, 1 if w == 4 else w, f"apply_builtin({a!r}, {box(stack[-1])})")
+                code = _tower_code(t, step, [f"{t}_0"], comps(stack[-1]))
+            lines.extend(code)
+            stack[-1] = (t, w)
         elif op is _CALL_DEF:
             # a body that no run has validated yet (a hand-built one) gets no lane here
             callee = not vector and a._runs >= 0 and _lane_of(a, sig if frame is None else tuple(_WIDTH_KINDS[w] for _, w in frame))
@@ -428,6 +408,9 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             stack[-1] = (t, stack[-1][1])
         if key:
             memo[key] = stack[-1]
+    # the real kernels the code calls (and the inline NaN's names), as the tables hold them now
+    kernels = {**_real_kernels(), "nan": math.nan, "inf": math.inf}
+    ns.update((n, kernels[n]) for n in re.findall(r"\b(?:[kr]_\w+|nan|inf)\b", "\n".join(pre + loop)))
     if not vector:
         pre.append(f"return {box(stack[0])}")
     elif stack[0][0] not in varying:

@@ -41,6 +41,7 @@ from funcalg import (
     Session,
     SessionConfig,
     UnsupportedKindError,
+    UnsupportedPowError,
     Vector,
     apply_expr,
     bench,
@@ -993,6 +994,70 @@ def test_pow_lanes_by_a_constant_match_the_loop_on_the_edge_grid(monkeypatch):
     assert repairs == []
 
 
+@pytest.mark.parametrize("name", PRIMITIVES)
+def test_complex_and_quaternion_builtin_lanes_match_the_loop_without_kernel_calls(name, monkeypatch):
+    rng = random.Random(name)
+    grid = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 710.0, -710.0, -2.0, 0.5, 1.0)
+    cases = [(Complex(a, b),) for a in grid for b in grid]
+    cases += [(Quaternion(*(rng.choice(_EDGE) for _ in range(4))),) for _ in range(60)]
+    cases += [(Quaternion(*(rng.uniform(-2, 2) for _ in range(4))),) for _ in range(20)]
+    x, = params(1)
+    prim = builtin(name)
+    trees = (prim, prim(x * x) - prim)  # the repeated call is computed once
+    outcomes = collections.Counter()
+    for tree in trees:
+        p = compile_expr(tree)
+        for args, want in zip(cases, _loop_results(p, cases, monkeypatch)):
+            outcomes[_check_lane(p, args, want)] += 1
+    # complex exp, log, sqrt, sin and cos give complex values, quaternion abs a scalar; the rest raise
+    result = dict.fromkeys(("exp", "log", "sqrt", "sin", "cos"), "Complex") | {"abs": "Scalar"}
+    assert set(outcomes) == {"error", result.get(name, "error")}, outcomes
+    # the lanes call neither kernel: spied on before any lane is built
+    calls = []
+
+    def counting(kernel):
+        return lambda *a: calls.append(a[0]) or kernel(*a)
+
+    monkeypatch.setattr(funcalg.vm, "value_binop", counting(value_binop))
+    monkeypatch.setattr(funcalg.vm, "apply_builtin", counting(funcalg.vm.apply_builtin))
+    for tree in trees:
+        p = compile_expr(tree)
+        for args in cases:
+            try:
+                funcalg.vm._lane_of(p, tuple(map(type, args)))(*args)  # called directly: no fall-back
+            except FuncalgError:
+                pass
+    assert calls == []
+
+
+@pytest.mark.parametrize("e", [0.0, 1.0, 2.0, 3.0, 5.0, 64.0, 65.0, 2.5])
+def test_quaternion_pow_lanes_by_a_computed_exponent_leave_their_base_alone(e, monkeypatch):
+    # the square-and-multiply loop squares a copy of its base: the base's own
+    # names may be shared, by value numbering, a frame's arguments or a constant
+    q = Quaternion(1.0, 2.0, 0.5, -1.0)
+    x, y = params(2)
+    u, v = params(2)
+    body = Def("b", Arity(2), x**y - x)
+    programs = [(compile_expr(tree), (q, Scalar(e))) for tree in (
+        x**y + x, x**y * x**y, body * x, apply_expr(u**v + u, [x, y]))]
+    c, = params(1)
+    programs += [(compile_expr(tree), (Scalar(e),)) for tree in (const_expr(q) ** c, const_expr(q) ** c * const_expr(q))]
+    for p, args in programs:
+        want, = _loop_results(p, [args], monkeypatch)
+        lane = funcalg.vm._lane_of(p, tuple(map(type, args)))
+        try:
+            got = lane(*args)  # called directly: no fall-back to the loop hides a raise
+        except Exception as err:
+            got = err
+        if isinstance(want, FuncalgError):  # 2.5: the loop's error, without its instruction index
+            assert type(got) is type(want) and str(want).endswith(f": {got}")
+            continue
+        assert type(got) is type(want) is Quaternion
+        assert [x.hex() for x in _components(got)] == [x.hex() for x in _components(want)]
+    if e == 2.5:
+        assert isinstance(want, UnsupportedPowError)
+
+
 @pytest.mark.parametrize("text, base, exponent", [
     ("(-1e308)^2.5", -1e308, 2.5),
     ("(-1e-308)^(-7.5)", -1e-308, -7.5),
@@ -1099,14 +1164,17 @@ def test_a_lane_computes_a_repeated_builtin_call_once(monkeypatch):
     p = compile_expr(tree)
     want = run(p, args)
     assert calls == ["sin"] * 3  # the loop calls the kernel for each copy
+    # the lane writes complex sin inline from the real kernels, which it binds when it is built
+    raw, repair = funcalg.values._SCALAR_KERNELS["sin"]
+    monkeypatch.setitem(funcalg.values._SCALAR_KERNELS, "sin", (lambda v: calls.append(v) or raw(v), repair))
     lane = funcalg.vm._lane_of(p, (Complex,))
     for _ in range(2):
         calls.clear()
         got = lane(*args)
-        assert calls == ["sin"]
+        assert calls == [0.5]
         assert [v.hex() for v in _components(got)] == [v.hex() for v in _components(want)]
     # the lane's source is kept for `inspect`: it emits the call once
-    assert inspect.getsource(lane).count("apply_builtin(") == 1
+    assert inspect.getsource(lane).count("k_sin(") == 1
 
 
 def test_a_lane_runs_a_repeated_definition_call_once(monkeypatch):
