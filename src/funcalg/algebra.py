@@ -265,7 +265,7 @@ class Neg(FuncExpr):
         object.__setattr__(self, "arity", self.e.arity)
 
     def _eval(self, args):
-        return value_neg(self.e._eval(args))
+        return _BUILTINS["neg"](self.e._eval(args))
 
 
 @dataclass(frozen=True)

@@ -93,8 +93,8 @@ class Quaternion(Value):
 
 
 # A vector's elements from a kernel are already a non-empty tuple of floats:
-# `_vector` stores them as is, as the generated `_scalar`, `_complex` and
-# `_quat` below store kernel floats.  Host inputs go through the constructors.
+# `_vector` stores them as is, as the generated kernels below store their
+# floats (`_build_code`).  Host inputs go through the constructors.
 _set_vector_xs = Vector.xs.__set__
 
 
@@ -214,10 +214,10 @@ def _cpow_parts(a0: float, a1: float, b0: float, b1: float) -> tuple[float, floa
 # (its number of float fields) as the locals x_0 .. x_{w-1}: `_read_code`
 # reads a boxed value into them, `_build_code` builds one from them, and
 # `_tower_code` and `_prim_code` write each operator at each pair of widths and
-# each builtin at each width as statements on them (a raise where it is not
-# defined), promoting by padding the narrower operand with 0.0.  The builders
-# `_scalar`, `_complex` and `_quat`, the kernels `_BINOPS` and `_BUILTINS` and
-# the lanes of `vm` are all generated from these, in the namespace `_CODE_NS`,
+# each builtin and negation at each width as statements on them (a raise where
+# it is not defined), promoting by padding the narrower operand with 0.0.  The
+# kernels `_BINOPS` and `_BUILTINS` and the lanes of `vm` are all generated
+# from these, in the namespace `_CODE_NS` with the real kernels,
 # so they do the same IEEE operations in the same order and raise the same
 # errors; `_define` compiles them all and keeps their source.
 
@@ -229,7 +229,7 @@ _WIDTH_KINDS = {len(f): t for t, f in _FIELDS.items()}
 # The names that generated code calls, other than the real kernels (`_real_kernels`):
 # `new(kind{w})` makes a bare value of width w, and `set{w}_{j}` stores its
 # field j as is (kernel results are already floats).
-_CODE_NS = {"new": object.__new__, "ieee_div": _ieee_div, "cpow": _cpow_parts, "cexp": _cexp_parts, "clog": _clog_parts,
+_CODE_NS = {"new": object.__new__, "cpow": _cpow_parts, "cexp": _cexp_parts, "clog": _clog_parts,
             "hypot": math.hypot, "UnsupportedPowError": UnsupportedPowError, "UnsupportedKindError": UnsupportedKindError,
             **{f"kind{len(fs)}": t for t, fs in _FIELDS.items()},
             **{f"set{len(fs)}_{j}": getattr(t, f).__set__ for t, fs in _FIELDS.items() for j, f in enumerate(fs)}}
@@ -262,9 +262,6 @@ def _build_code(x: str, w: int) -> list[str]:
     return [f"{x} = new(kind{w})", *(f"set{w}_{j}({x}, {x}_{j})" for j in range(w))]
 
 
-_scalar, _complex, _quat = (_define(f"_{n}", ", ".join(_comps("v", w)), _build_code("v", w) + ["return v"], dict(_CODE_NS))
-                            for n, w in (("scalar", 1), ("complex", 2), ("quat", 4)))
-
 # component templates per (operator, width) on the operands' components a
 # and b, each of that width; a complex / gives the numerators over the
 # divisor's squared norm, and a quaternion / is written by `_tower_code` as
@@ -294,7 +291,7 @@ def _tower_code(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> list[str]:
     quaternion `/` binds the divisor's squared norm tn and divides by it: a
     complex one's numerators, a quaternion one's divisor to its inverse ti0
     .. ti3, testing tn once: plain `/` where tn is nonzero (NaN and infinity
-    too), `ieee_div` where it is zero."""
+    too), `/`'s repair r_DIV where it is zero."""
     w = max(len(xs), len(ys))
     if op is ArithOp.POW and w == 4 and len(ys) > 1:
         why = "quaternion power needs a scalar exponent" if len(xs) == 4 else "quaternion exponents are not supported"
@@ -312,7 +309,7 @@ def _tower_code(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> list[str]:
         names, nums = [f"{t}i{j}" for j in range(4)], [f"{'-' * (j > 0)}{c}" for j, c in enumerate(ys)]
     code = [f"{t}n = " + " + ".join(f"{c} * {c}" for c in ys),
             f"if {t}n: " + "; ".join(f"{x} = ({e}) / {t}n" for x, e in zip(names, nums)),
-            "else: " + "; ".join(f"{x} = ieee_div({e}, {t}n)" for x, e in zip(names, nums))]
+            "else: " + "; ".join(f"{x} = r_DIV({e}, {t}n)" for x, e in zip(names, nums))]
     return code if w == 2 else code + _tower_code(t, ArithOp.MUL, xs, names)
 
 
@@ -391,19 +388,6 @@ def _binop_rest(op: ArithOp, a: Value, b: Value) -> Value:
     raise TypeError(f"not numeric tower values: {type(a).__name__} {op.value} {type(b).__name__}")
 
 
-def value_neg(a: Value) -> Value:
-    """Componentwise negation; the value kind is preserved."""
-    if isinstance(a, Scalar):
-        return _scalar(-a.x)
-    if isinstance(a, Vector):
-        return _vector(tuple(map(operator.neg, a.xs)))
-    if isinstance(a, Complex):
-        return _complex(-a.re, -a.im)
-    if isinstance(a, Quaternion):
-        return _quat(-a.w, -a.x, -a.y, -a.z)
-    raise _outside(a)
-
-
 # ---------------------------------------------------------------------------
 # Builtin kernels.  Real kernels are total: domain errors surface as NaN and
 # range overflow as the appropriately signed infinity, matching IEEE and the
@@ -477,11 +461,14 @@ BUILTIN_NAMES = frozenset(BUILTIN_ORDER)
 
 
 def _prim_code(t: str, name: str, xs: list[str]) -> tuple[list[str], int]:
-    """Statements that bind t_0 .. to the builtin `name` at the components xs
-    of a Scalar, Complex or Quaternion, and the result's width: a real kernel
-    by its contract (`_real_code`), a complex one by `_COMPLEX_OPS`, a
-    quaternion's norm by `hypot`, and a raise for every other kind."""
+    """Statements that bind t_0 .. to the builtin `name`, or to negation
+    (`neg`), at the components xs of a Scalar, Complex or Quaternion, and
+    the result's width: negation componentwise, a real kernel by its
+    contract (`_real_code`), a complex one by `_COMPLEX_OPS`, a quaternion's
+    norm by `hypot`, and a raise for every other kind."""
     w = len(xs)
+    if name == "neg":
+        return [f"{t}_{j} = -{x}" for j, x in enumerate(xs)], w
     if w == 1 and name in _SCALAR_KERNELS:
         return _real_code(t, name, _SCALAR_KERNELS[name], xs), 1
     if w == 2 and name in _COMPLEX_OPS:
@@ -494,13 +481,15 @@ def _prim_code(t: str, name: str, xs: list[str]) -> tuple[list[str], int]:
 
 
 def _builtin_rest(name: str, a: Value) -> Value:
-    """The builtin `name` at a, where `_BUILTINS[name]` has no branch: a
-    vector's elements (a scan's running sums or products), and a subclass of
-    a tower kind as its kind."""
+    """The builtin `name` (or negation) at a, where `_BUILTINS[name]` has no
+    branch: a vector's elements (a scan's running sums or products), and a
+    subclass of a tower kind as its kind."""
     if isinstance(a, Vector):
         if name in _SCAN_KERNELS:
             op, start = _SCAN_KERNELS[name]
             return _vector(tuple(accumulate(a.xs, _REAL_OPS[op][0], initial=start))[1:])
+        if name == "neg":  # never raises: no repair
+            return _vector(tuple(map(operator.neg, a.xs)))
         return _vector(_map_ieee(*_SCALAR_KERNELS[name], a.xs))
     if kind := _kind(a):
         return _BUILTINS[name](_plain(a, kind))
@@ -545,12 +534,18 @@ def _real_kernels() -> dict:
 _KERNEL_NS = {**_CODE_NS, "binop_rest": _binop_rest, "builtin_rest": _builtin_rest,
               **{op.name: op for op in ArithOp}, **_real_kernels()}
 _BINOPS = {op: _define(op.name.lower(), "a, b", _binop_code(op), _KERNEL_NS) for op in ArithOp}
-_BUILTINS = {name: _define(name, "a", _builtin_code(name), _KERNEL_NS) for name in BUILTIN_ORDER}
+# negation's kernel is "neg", which names no builtin: it is not in BUILTIN_NAMES
+_BUILTINS = {name: _define(name, "a", _builtin_code(name), _KERNEL_NS) for name in (*BUILTIN_ORDER, "neg")}
 
 
 def value_binop(op: ArithOp, a: Value, b: Value) -> Value:
     """Combine two values under `op`, promoting along the numeric tower."""
     return _BINOPS[op](a, b)
+
+
+def value_neg(a: Value) -> Value:
+    """Componentwise negation; the value kind is preserved."""
+    return _BUILTINS["neg"](a)
 
 
 def apply_builtin(name: str, a: Value) -> Value:
@@ -561,7 +556,7 @@ def apply_builtin(name: str, a: Value) -> Value:
     support exp, log, sqrt, sin and cos, and quaternions support only abs
     (the norm).
     """
-    if name not in _BUILTINS:
+    if name not in BUILTIN_NAMES:
         raise UnknownPrimitiveError(f"unknown primitive '{name}'")
     return _BUILTINS[name](a)
 

@@ -47,29 +47,33 @@ constants (of equal bits, or a Vector: the same object) share one name.
 Lanes are written by the code writers of `values` that also write the tree
 walker's kernels: `_read_code` reads a boxed value's fields into locals,
 `_build_code` builds a value from them, and `_tower_code` and `_prim_code`
-write each operator and builtin at its operands' widths, raises included,
-so a lane runs a kernel's statements inline.  Two constant exponents differ:
-a quaternion `^` by a `Scalar` from 0 to `_POW_UNROLL` is the kernel's
-square-and-multiply loop unrolled (`_qpow_code`), and a scalar `^` by a
-finite non-integer maps a negative finite base to NaN, the repair's answer,
-without a raise.  A lane boxes values only to call a body's lane (CALL_DEF)
-and to return, and binds the real kernels it calls (`values._real_kernels`)
-when it is built.  `run` tries the all-`Scalar` lane first, with no
-signature lookup; it counts the runs that find no lane and, from the
-`_LANE_AFTER`-th (never at compile time), builds the run's lane.  `Scalar`
-subclasses and leaves stay laneless.
+write each operator, builtin and negation (NEGATE is `_prim_code`'s `neg`)
+at its operands' widths, raises included, so a lane runs a kernel's
+statements inline.  A lane binds each distinct constant boxed, as `c<k>`,
+and reads its fields at its start as it reads its arguments, by
+`_read_code`.  Two constant exponents differ: a quaternion `^` by a
+`Scalar` from 0 to `_POW_UNROLL` is the kernel's square-and-multiply loop
+unrolled (`_qpow_code`), and a scalar `^` by a finite non-integer maps a
+negative finite base to NaN, the repair's answer, without a raise.  A
+lane boxes values only to call a body's lane (CALL_DEF) and to return, and
+binds the real kernels it calls (`values._real_kernels`) when it is built.
+`run` tries the all-`Scalar` lane first, with no signature lookup; it
+counts the runs that find no lane and, from the `_LANE_AFTER`-th (never at
+compile time), builds the run's lane.  `Scalar` subclasses and leaves stay
+laneless.
 A vector signature's lane is one `for` loop over the elements (a
 `zip(..., strict=True)` of the vector arguments and constants that an
 operator reads or the program returns, if several) in which each element
 runs the width-1 code above; a scan is a running local started at its
 identity, and an instruction whose operands do not vary per element runs
-once, before the loop.  The loop reads kernels and constants as locals
-(keyword-only defaults), and no tuple is built per operator.  A vector
-program that has a CALL_DEF or a polymorphic frame, scans a scalar, or
-returns a value that does not vary per element keeps the loop.  A lane has no error path: if it
-raises (a kind error, or vectors of different lengths, say), `run` re-runs
-the loop, which raises the exact error (or answers, where those vectors
-never meet); with no leaves, nothing impure runs twice.
+once, before the loop.  The loop reads kernels as locals (keyword-only
+defaults) and constants' fields as the locals read before it, and no tuple
+is built per operator.  A vector program that has a CALL_DEF or a
+polymorphic frame, scans a scalar, or returns a value that does not vary
+per element keeps the loop.  A lane has no error path: if it raises (a
+kind error, or vectors of different lengths, say), `run` re-runs the loop,
+which raises the exact error (or answers, where those vectors never meet);
+with no leaves, nothing impure runs twice.
 Contract: every value a lane computes is one the loop computes, from the
 same operands by the same IEEE operation (for each element, in a vector
 lane), so its result is bit-identical (`float.hex` per component) to the
@@ -275,8 +279,6 @@ def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
 # for itself at once; it waits for the same count.
 _LANE_AFTER = 32
 
-_LANE_WIDTHS = {t: len(f) for t, f in _FIELDS.items()} | {Vector: 1}  # a float per element
-
 # The largest constant exponent of a quaternion ^ that a lane unrolls; up to it
 # the unrolled code is at most 11 Hamilton products (for 63).
 _POW_UNROLL = 64
@@ -305,20 +307,10 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
     if p.leaves or not (vector or all(t in _FIELDS for t in kinds)):
         return False
     ns = {**_CODE_NS, "boxv": _vector}
-    helpers = len(ns)
-    names = {}  # constants' names by their fields' bits (0.0 is not -0.0), a Vector's by identity
-    consts = []  # the name of each constant: equal ones share the first one's
-    for k, c in enumerate(p.constants):
-        fields = [getattr(c, f) for f in _FIELDS.get(type(c), ())]  # floats, not reprs: inf, nan and -0.0 survive
-        key = (type(c), struct.pack(f"{len(fields)}d", *fields)) if fields else id(c)
-        if key not in names:
-            names[key], ns[f"c{k}"] = f"c{k}", c
-            ns.update((f"c{k}_{j}", x) for j, x in enumerate(fields))
-        consts.append(names[key])
     comps = lambda v: _comps(*v)
     lines = pre = []  # the code to emit to: pre, or a vector lane's loop
     loop: list[str] = []
-    boxed = set(ns)  # names bound to boxed values (and others): the constants c<k>
+    boxed: set[str] = set()  # names bound to boxed values
     # the vectors a vector lane loops over, and the names of the values that vary per element
     sources = [f"a{i}" for i, t in enumerate(sig) if t is Vector]
     sources += [f"c{k}" for k, c in enumerate(p.constants) if type(c) is Vector]
@@ -339,8 +331,17 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             boxed.add(v[0])
         return v[0]
 
+    names = {}  # constants' values by their fields' bits (0.0 is not -0.0), a Vector's by identity
+    consts = []  # each constant's value c<k>: equal ones share the first one's
+    for k, c in enumerate(p.constants):
+        fields = _FIELDS.get(type(c), ())  # packed as floats, not reprs: inf, nan and -0.0 survive
+        key = (type(c), struct.pack(f"{len(fields)}d", *[getattr(c, f) for f in fields])) if fields else id(c)
+        if key not in names:
+            ns[f"c{k}"] = c
+            names[key] = unbox(f"c{k}", len(fields)) if fields else (f"c{k}", 1)
+        consts.append(names[key])
     # a polymorphic frame (None) only passes its arguments on
-    frame = [(f"a{i}", 1) if t is Vector else unbox(f"a{i}", _LANE_WIDTHS[t])
+    frame = [(f"a{i}", 1) if t is Vector else unbox(f"a{i}", len(_FIELDS[t]))
              for i, t in enumerate(sig)] if p.arity.n else None
     head = ", ".join(x for x, _ in frame) if frame else "*args"
     stack: list[tuple[str, int]] = []
@@ -384,18 +385,19 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         elif op is _END_FRAME:
             frame = saved.pop()
         elif op is _LOAD_CONST:
-            stack.append((consts[a], _LANE_WIDTHS[type(p.constants[a])]))
-        elif op is _CALL_PRIM:
-            code, w = _prim_code(t, a, comps(stack[-1]))
-            if vector and a in _SCAN_KERNELS:  # a running local, from the identity, as `accumulate`
+            stack.append(consts[a])
+        elif op is _CALL_PRIM or op is _NEGATE:
+            name = a if op is _CALL_PRIM else "neg"
+            code, w = _prim_code(t, name, comps(stack[-1]))
+            if vector and name in _SCAN_KERNELS:  # a running local, from the identity, as `accumulate`
                 if lines is pre:
                     return False  # of a scalar, which raises
-                step, start = _SCAN_KERNELS[a]
+                step, start = _SCAN_KERNELS[name]
                 pre.append(f"{t}_0 = {start!r}")
                 code = _tower_code(t, step, [f"{t}_0"], comps(stack[-1]))
             lines.extend(code)
             stack[-1] = (t, w)
-        elif op is _CALL_DEF:
+        else:  # CALL_DEF; a program without leaves has no CALL_LEAF
             # a body that no run has validated yet (a hand-built one) gets no lane here
             callee = not vector and a._runs >= 0 and _lane_of(a, sig if frame is None else tuple(_WIDTH_KINDS[w] for _, w in frame))
             if not (callee and callee.width):  # a vector lane's result has no width
@@ -403,22 +405,19 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             ns[f"d{ip}"] = callee
             args = "*args" if frame is None else ", ".join(map(box, frame))
             stack.append(unbox(t, callee.width, f"d{ip}({args})"))
-        else:  # NEGATE; a program without leaves has no CALL_LEAF
-            lines += [f"{t}_{j} = -{c}" for j, c in enumerate(comps(stack[-1]))]
-            stack[-1] = (t, stack[-1][1])
         if key:
             memo[key] = stack[-1]
     # the real kernels the code calls (and the inline NaN's names), as the tables hold them now
     kernels = {**_real_kernels(), "nan": math.nan, "inf": math.inf}
-    ns.update((n, kernels[n]) for n in re.findall(r"\b(?:[kr]_\w+|nan|inf)\b", "\n".join(pre + loop)))
+    used = dict.fromkeys(re.findall(r"\b(?:[kr]_\w+|nan|inf)\b", "\n".join(pre + loop)))
+    ns.update((n, kernels[n]) for n in used)
     if not vector:
         pre.append(f"return {box(stack[0])}")
     elif stack[0][0] not in varying:
         return False
     else:
-        # the loop reads kernels and constants as locals: keyword-only defaults
-        local = ", ".join(f"{n}={n}" for n in list(ns)[helpers:])
-        head += f", *, {local}" if local else ""
+        # the loop reads the kernels as locals: keyword-only defaults
+        head += f", *, {', '.join(f'{n}={n}' for n in used)}" if used else ""
         read.add(stack[0][0])
         sources = [s for s in sources if s in read]  # an unread one may have another length
         over = f"{sources[0]}.xs" if len(sources) == 1 else f"zip({', '.join(s + '.xs' for s in sources)}, strict=True)"

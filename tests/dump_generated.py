@@ -2,8 +2,7 @@
 
     PYTHONPATH=src python tests/dump_generated.py OUT
 
-Importing funcalg generates the value builders and the operator and
-builtin kernels.
+Importing funcalg generates the operator, builtin and negation kernels.
 The script then runs 40 VM passes over the `scalar-calls` and `tower-calls`
 benchmark workloads and a `wide-vectors` whose vectors are cut to 50-60
 elements, which builds the lanes of the paper's golden programs at every

@@ -291,9 +291,16 @@ def test_tower_results_equal_public_construction():
 
 
 def test_unknown_builtin_is_a_funcalg_error():
-    for v in (Scalar(1), Vector((1.0, 2.0)), Complex(1, 1), Quaternion(1, 0, 0, 0)):
-        with pytest.raises(UnknownPrimitiveError, match="^unknown primitive 'nope'$"):
-            apply_builtin("nope", v)
+    # "neg" names negation's kernel, but no builtin: PRIMITIVES, whose order
+    # the seeded draws of tests/treegen.py depend on, stays as it is
+    assert PRIMITIVES == ("sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh", "tanh", "exp", "log",
+                          "sqrt", "abs", "floor", "ceiling", "cumsum", "cumprod")
+    for name in ("nope", "neg"):
+        with pytest.raises(UnknownPrimitiveError, match=f"^unknown primitive '{name}'$"):
+            builtin(name)
+        for v in (Scalar(1), Vector((1.0, 2.0)), Complex(1, 1), Quaternion(1, 0, 0, 0)):
+            with pytest.raises(UnknownPrimitiveError, match=f"^unknown primitive '{name}'$"):
+                apply_builtin(name, v)
 
 
 def test_values_are_frozen_and_coerce_their_fields():
@@ -715,11 +722,41 @@ def test_a_kernel_keeps_its_generated_source():
     assert last.line.startswith("raise UnsupportedPowError("), last.line
 
 
-def test_value_neg():
+def test_value_neg(monkeypatch):
     assert value_neg(Scalar(3.0)) == Scalar(-3.0)
     assert value_neg(Vector((1.0, 2.0))) == Vector((-1.0, -2.0))
     assert value_neg(Complex(1.0, -2.0)) == Complex(-1.0, 2.0)
     assert value_neg(Quaternion(4, 2, 2, -1)) == Quaternion(-4, -2, -2, 1)
+    # each kind at the edge grid, on every path: the tree walker, the VM loop,
+    # the lane called directly and value_neg each give the host's -c for each
+    # component c, as a plain kind (any NaN for a NaN: its sign is outside the
+    # contract); a subclass gets no lane
+    class SubVector(Vector):
+        __slots__ = ()
+
+    grid = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308)
+    edges = [Scalar(e) for e in grid] + [Vector(grid), Vector((-0.0,))]
+    edges += [Complex(*c) for c in itertools.product(grid, repeat=2)]
+    edges += [Quaternion(*c) for c in itertools.product(grid, repeat=4)]
+    edges += [_SubScalar(e) for e in grid] + [SubVector(grid)]
+    edges += [_SubComplex(e, -e) for e in grid] + [_SubQuaternion(e, 1.0, -e, 0.0) for e in grid]
+    x, = params(1)
+    monkeypatch.setattr(funcalg.vm, "_LANE_AFTER", math.inf)
+    loop, laned = funcalg.compile_expr(-x), funcalg.compile_expr(-x)
+    comps = lambda v: v.xs if isinstance(v, Vector) else _components(v)
+    for v in edges:
+        kind = next(t for t in (Scalar, Vector, Complex, Quaternion) if isinstance(v, t))
+        want = [(-c).hex() if c == c else "nan" for c in comps(v)]
+        paths = [evaluate(-x, (v,)), funcalg.run(loop, (v,)), value_neg(v)]
+        if type(v) is kind:
+            paths.append(funcalg.vm._lane_of(laned, (kind,))(v))
+        for got in paths:
+            assert type(got) is kind, (v, got)
+            assert [c.hex() if c == c else "nan" for c in comps(got)] == want, (v, got)
+    assert loop._runs == len(edges) and not loop._lanes
+    assert set(laned._lanes) == {(Scalar,), (Vector,), (Complex,), (Quaternion,)}
+    with pytest.raises(TypeError, match="^not a numeric tower value: object$"):
+        value_neg(object())
 
 
 # ---------------------------------------------------------------------------

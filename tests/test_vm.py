@@ -7,6 +7,7 @@ import io
 import json
 import math
 import random
+import re
 import struct
 import sys
 import traceback
@@ -1245,6 +1246,18 @@ def test_lanes_share_no_constants_that_differ_in_sign(args, monkeypatch):
         assert _check_lane(p, args, want) != "error"
         if type(want) in (Scalar, Vector):  # no operation here meets two NaNs (see _bits)
             assert _bits(funcalg.vm._lane_of(p, sig)(*args)) == _bits(want)
+        # the lane binds each distinct constant boxed, as c<k> for the first of
+        # equal bits, and reads its fields once, at its start, as it reads
+        # arguments: no field is bound at build time or taken as a default
+        first = {}
+        for k, c in enumerate(p.constants):
+            first.setdefault((type(c), *_bits(c)), k)
+        reads = [f"    c{k}_{j} = c{k}.{f}" for k in first.values()
+                 for j, f in enumerate(funcalg.values._FIELDS[type(p.constants[k])])]
+        lines = inspect.getsource(funcalg.vm._lane_of(p, sig)).splitlines()
+        assert lines[1:1 + len(reads)] == reads
+        assert sum(bool(re.search(r"= c\d+\.", s)) for s in lines) == len(reads)
+        assert not re.search(r"\bc\d+_\d+=", lines[0])
 
 
 def _shared_tree(seed, kind):
