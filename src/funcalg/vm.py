@@ -1,14 +1,14 @@
 """Stack-machine backend: compile expression trees to flat programs.
 
-Instruction set (operand stack before -> after; F is the current frame):
+Instruction set (operand stack before -> after; F is the current frame; the
+kernels are the tree walker's, from `values._BUILTINS` and `values._BINOPS`):
 
     LOAD_ARG i        []            -> [F.args[i]]
     LOAD_CONST k      []            -> [constants[k]]
-    CALL_PRIM name    [a]           -> [builtin(a)]
+    CALL_PRIM name    [a]           -> [_BUILTINS[name](a)]   a builtin, or "neg"
     CALL_LEAF t       []            -> [leaf_t(*F.args)]
     CALL_DEF p        []            -> [run(p, F.args)]   p: a definition body
-    BINARY op         [a b]         -> [a op b]
-    NEGATE            [a]           -> [-a]
+    BINARY op         [a b]         -> [_BINOPS[op](a, b)]
     BEGIN_FRAME m     [a1 .. am]    -> []   pushes frame with args (a1 .. am)
     END_FRAME         []            -> []   pops the current frame
 
@@ -24,7 +24,8 @@ unbounded there; compiling a definition's body, nested CALL_DEFs and the
 tree walker recurse.  A `Def` keeps its body's CALL_DEF instruction as
 `call`, built by the first compile that meets it; each reference emits it.
 `compile_expr`'s programs are valid by construction and are not validated;
-`run` validates any other program before its first run.  Runs change only a
+`run` validates any other program (its pools and every payload that the
+loop and the lane builder read) before its first run.  Runs change only a
 program's lane state (below), and are re-entrant: concurrent runs are safe.
 
 `run` unpacks each instruction as `(op, a)` and tests `op` by identity
@@ -38,25 +39,26 @@ function per argument-kind signature (its arguments' exact types), if the
 signature and the constants' types are all exactly `Scalar`, `Complex` or
 `Quaternion` (a tower signature) or all exactly `Scalar` or `Vector`, with
 at least one `Vector` (a vector signature).  Every value's kind is then
-known, and a value is 1, 2 or 4 float locals; frames and argument loads
-are only names.  A lane computes each repeated subexpression once (local
-value numbering): an operator, builtin, negation or definition call whose
+known, and a value is 1, 2 or 4 float locals; frames and argument loads are
+only names.  A lane computes each repeated subexpression once (local value
+numbering): an operator, builtin (negation too) or definition call whose
 opcode, payload and operand names (a call's: its frame's arguments) match
 an earlier one's emits no code and names that one's result, and equal
 constants (of equal bits, or a Vector: the same object) share one name.
 Lanes are written by the code writers of `values` that also write the tree
 walker's kernels: `_read_code` reads a boxed value's fields into locals,
 `_build_code` builds a value from them, and `_tower_code` and `_prim_code`
-write each operator, builtin and negation (NEGATE is `_prim_code`'s `neg`)
-at its operands' widths, raises included, so a lane runs a kernel's
-statements inline.  A lane binds each distinct constant boxed, as `c<k>`,
-and reads its fields at its start as it reads its arguments, by
-`_read_code`.  Two constant exponents differ: a quaternion `^` by a
-`Scalar` from 0 to `_POW_UNROLL` is the kernel's square-and-multiply loop
-unrolled (`_qpow_code`), and a scalar `^` by a finite non-integer maps a
-negative finite base to NaN, the repair's answer, without a raise.  A
-lane boxes values only to call a body's lane (CALL_DEF) and to return, and
-binds the real kernels it calls (`values._real_kernels`) when it is built.
+write each operator and builtin at its operands' widths, so a lane runs a
+kernel's statements inline (if they are a `raise`, as for `Tan` of a
+complex value, the signature gets no lane).  A lane binds each distinct
+constant boxed, as `c<k>`, and reads its fields at its start as it reads
+its arguments, by `_read_code`.  Two constant exponents differ: a
+quaternion `^` by a `Scalar` from 0 to `_POW_UNROLL` is the kernel's
+square-and-multiply loop unrolled (`_qpow_code`), and a scalar `^` by a
+finite non-integer maps a negative finite base to NaN, the repair's answer,
+without a raise.  A lane boxes values only to call a body's lane (CALL_DEF)
+and to return, and binds the real kernels it calls (`values._real_kernels`)
+when it is built.
 `run` tries the all-`Scalar` lane first, with no signature lookup; it
 counts the runs that find no lane and, from the `_LANE_AFTER`-th (never at
 compile time), builds the run's lane.  `Scalar` subclasses and leaves stay
@@ -102,8 +104,8 @@ from .errors import (
     FuncalgError,
     InvalidProgramError,
 )
-from .values import ArithOp, BUILTIN_NAMES, Scalar, Value, Vector, apply_builtin, format_value, same_value, value_binop, value_neg
-from .values import _CODE_NS, _FIELDS, _REAL_OPS, _SCAN_KERNELS, _WIDTH_KINDS, _build_code, _comps, _define, _prim_code, _read_code, _real_code, _real_kernels, _tower_code, _vector
+from .values import ArithOp, Complex, Quaternion, Scalar, Value, Vector, format_value, same_value
+from .values import _BINOPS, _BUILTINS, _CODE_NS, _FIELDS, _REAL_OPS, _SCAN_KERNELS, _WIDTH_KINDS, _build_code, _comps, _define, _prim_code, _read_code, _real_code, _real_kernels, _tower_code, _vector
 
 
 class Op(Enum):
@@ -113,17 +115,16 @@ class Op(Enum):
     CALL_LEAF = "call_leaf"
     CALL_DEF = "call_def"
     BINARY = "binary"
-    NEGATE = "negate"
     BEGIN_FRAME = "begin_frame"
     END_FRAME = "end_frame"
 
 
 class Instr(NamedTuple):
     op: Op
-    a: object = None  # index, builtin name, ArithOp or body Program
+    a: object = None  # index, arity, builtin name or "neg", ArithOp or body Program
 
 
-_LOAD_ARG, _LOAD_CONST, _CALL_PRIM, _CALL_LEAF, _CALL_DEF, _BINARY, _NEGATE, _BEGIN_FRAME, _END_FRAME = Op
+_LOAD_ARG, _LOAD_CONST, _CALL_PRIM, _CALL_LEAF, _CALL_DEF, _BINARY, _BEGIN_FRAME, _END_FRAME = Op
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -145,19 +146,26 @@ class Program:
     _runs: int = field(default=-1, compare=False, repr=False)
 
     def validate(self) -> None:
-        """Static stack-discipline check: every instruction stays in bounds
-        and execution leaves exactly one value with all frames popped."""
+        """Static check of everything `run` and the lane builder read: the
+        pools hold values and leaves, every payload has its type, every
+        instruction stays in bounds, and execution leaves exactly one value
+        with all frames popped."""
         depth = 0
         n = self.arity.n  # arity of the current frame; None is polymorphic
-        outer: list[int | None] = []  # arities of the enclosing frames
-        entry_depths: list[int] = []
+        outer: list[tuple[int | None, int]] = []  # the enclosing frames' arities and entry depths
 
         def fail(ip: int, why: str):
             raise InvalidProgramError(f"instruction {ip}: {why}")
 
+        for k, c in enumerate(self.constants):
+            if not isinstance(c, (Scalar, Complex, Quaternion, Vector)):
+                raise InvalidProgramError(f"constant {k} is not a Scalar, Complex, Quaternion or Vector")
+        for k, leaf in enumerate(self.leaves):
+            if not isinstance(leaf, Leaf):
+                raise InvalidProgramError(f"leaf {k} is not a Leaf")
         for ip, (op, a) in enumerate(self.instructions):
             if op is _LOAD_ARG:
-                if not isinstance(a, int) or a < 0:
+                if type(a) is not int or a < 0:
                     fail(ip, "bad argument index")
                 if n is None:
                     fail(ip, "argument load in a polymorphic frame")
@@ -171,26 +179,25 @@ class Program:
                     fail(ip, "stack underflow")
                 depth -= 1
             elif op is _BEGIN_FRAME:
-                if not isinstance(a, int) or a < 1:
+                if type(a) is not int or a < 1:
                     fail(ip, "bad frame arity")
                 if depth < a:
                     fail(ip, "stack underflow")
                 depth -= a
-                outer.append(n)
+                outer.append((n, depth))
                 n = a
-                entry_depths.append(depth)
             elif op is _END_FRAME:
                 if not outer:
                     fail(ip, "no frame to pop")
-                n = outer.pop()
-                if depth != entry_depths.pop() + 1:
+                n, entry = outer.pop()
+                if depth != entry + 1:
                     fail(ip, "frame body did not leave exactly one value")
             elif op is _LOAD_CONST:
-                if not isinstance(a, int) or not 0 <= a < len(self.constants):
+                if type(a) is not int or not 0 <= a < len(self.constants):
                     fail(ip, "constant index out of range")
                 depth += 1
-            elif op is _CALL_PRIM:
-                if a not in BUILTIN_NAMES:
+            elif op is _CALL_PRIM:  # a builtin, or "neg": the kernels `run` calls
+                if type(a) is not str or a not in _BUILTINS:
                     fail(ip, f"unknown builtin {a!r}")
                 if depth < 1:
                     fail(ip, "stack underflow")
@@ -201,14 +208,11 @@ class Program:
                     fail(ip, "definition arity does not match frame arity")
                 depth += 1
             elif op is _CALL_LEAF:
-                if not isinstance(a, int) or not 0 <= a < len(self.leaves):
+                if type(a) is not int or not 0 <= a < len(self.leaves):
                     fail(ip, "leaf index out of range")
                 if self.leaves[a].arity.n != n:
                     fail(ip, "leaf arity does not match frame arity")
                 depth += 1
-            elif op is _NEGATE:
-                if depth < 1:
-                    fail(ip, "stack underflow")
             else:  # pragma: no cover - enum is closed
                 fail(ip, f"unknown opcode {op}")
         if outer:
@@ -223,8 +227,8 @@ _INTERNED = 256
 _LOAD_ARGS, _LOAD_CONSTS, _BEGIN_FRAMES = (tuple(Instr(op, i) for i in range(_INTERNED))
                                            for op in (_LOAD_ARG, _LOAD_CONST, _BEGIN_FRAME))
 _BINARIES = {op: Instr(_BINARY, op) for op in ArithOp}
-_PRIM_CODE = {name: (_LOAD_ARGS[0], Instr(_CALL_PRIM, name)) for name in BUILTIN_NAMES}
-_NEGATE_INSTR, _END_FRAME_INSTR = Instr(_NEGATE), Instr(_END_FRAME)
+_PRIM_CODE = {name: (_LOAD_ARGS[0], Instr(_CALL_PRIM, name)) for name in _BUILTINS}  # "neg" names no Prim
+_NEG_INSTR, _END_FRAME_INSTR = _PRIM_CODE["neg"][1], Instr(_END_FRAME)
 
 
 def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
@@ -255,7 +259,7 @@ def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
         elif t is Prim:
             code += _PRIM_CODE[n.name]
         elif t is Neg:
-            push(_NEGATE_INSTR)
+            push(_NEG_INSTR)
             push(n.e)
         elif t is Def:
             if n.call is None:
@@ -349,8 +353,8 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
     memo = {}  # (opcode, payload, operand names) -> the value computed from them
     for ip, (op, a) in enumerate(p.instructions):
         t = f"t{ip}"
-        key = None
-        if op is _BINARY or op is _CALL_PRIM or op is _NEGATE:
+        key, code = None, []  # code: an operator's or a builtin's statements
+        if op is _BINARY or op is _CALL_PRIM:
             operands = stack[-2:] if op is _BINARY else stack[-1:]
             if (key := (op, a, *(x for x, _ in operands))) in memo:
                 stack[-len(operands):] = [memo[key]]  # computed before: the same bits, and no code
@@ -374,9 +378,9 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
                 ys = [int(c.x)]  # unrolled
             if type(c) is Scalar and len(xs) == 1 and math.isfinite(c.x) and not c.x.is_integer():
                 # a non-integer: a negative finite base's NaN is inline, not raised
-                lines.extend(_real_code(t, "POW", _REAL_OPS[a], xs + ys, f"nan if -inf < {xs[0]} < 0.0 else k_POW({xs[0]}, {ys[0]})"))
+                code = _real_code(t, "POW", _REAL_OPS[a], xs + ys, f"nan if -inf < {xs[0]} < 0.0 else k_POW({xs[0]}, {ys[0]})")
             else:
-                lines.extend(_tower_code(t, a, xs, ys))
+                code = _tower_code(t, a, xs, ys)
             stack[-1] = (t, max(len(xs), len(ys)))
         elif op is _BEGIN_FRAME:
             saved.append(frame)
@@ -386,16 +390,12 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             frame = saved.pop()
         elif op is _LOAD_CONST:
             stack.append(consts[a])
-        elif op is _CALL_PRIM or op is _NEGATE:
-            name = a if op is _CALL_PRIM else "neg"
-            code, w = _prim_code(t, name, comps(stack[-1]))
-            if vector and name in _SCAN_KERNELS:  # a running local, from the identity, as `accumulate`
-                if lines is pre:
-                    return False  # of a scalar, which raises
-                step, start = _SCAN_KERNELS[name]
+        elif op is _CALL_PRIM:
+            code, w = _prim_code(t, a, comps(stack[-1]))
+            if lines is loop and a in _SCAN_KERNELS:  # a running local, from the identity, as `accumulate`
+                step, start = _SCAN_KERNELS[a]
                 pre.append(f"{t}_0 = {start!r}")
                 code = _tower_code(t, step, [f"{t}_0"], comps(stack[-1]))
-            lines.extend(code)
             stack[-1] = (t, w)
         else:  # CALL_DEF; a program without leaves has no CALL_LEAF
             # a body that no run has validated yet (a hand-built one) gets no lane here
@@ -405,6 +405,9 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             ns[f"d{ip}"] = callee
             args = "*args" if frame is None else ", ".join(map(box, frame))
             stack.append(unbox(t, callee.width, f"d{ip}({args})"))
+        if code and code[0].startswith("raise "):
+            return False  # straight-line code: the lane would raise on every run
+        lines.extend(code)
         if key:
             memo[key] = stack[-1]
     # the real kernels the code calls (and the inline NaN's names), as the tables hold them now
@@ -466,8 +469,7 @@ def run(p: Program, args: Sequence[Value]) -> Value:
             if op is _LOAD_ARG:
                 push(frame[a])
             elif op is _BINARY:
-                y = pop()
-                stack[-1] = value_binop(a, stack[-1], y)
+                stack[-1] = _BINOPS[a](stack[-2], pop())
             elif op is _BEGIN_FRAME:
                 saved.append(frame)
                 frame = tuple(stack[-a:])
@@ -477,13 +479,11 @@ def run(p: Program, args: Sequence[Value]) -> Value:
             elif op is _LOAD_CONST:
                 push(constants[a])
             elif op is _CALL_PRIM:
-                stack[-1] = apply_builtin(a, stack[-1])
+                stack[-1] = _BUILTINS[a](stack[-1])
             elif op is _CALL_DEF:
                 push(run(a, frame))
-            elif op is _CALL_LEAF:
+            else:  # CALL_LEAF
                 push(leaves[a].body(*frame))
-            else:  # NEGATE
-                stack[-1] = value_neg(stack[-1])
     except FuncalgError as err:
         raise type(err)(f"instruction {ip}: {err}") from err
     return stack[0]  # the only value: validate() rules out any other count

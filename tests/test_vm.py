@@ -145,7 +145,7 @@ def _reference_compile(e, arity=None):
                 code.append(Instr(Op.BINARY, node.op))
             case Neg():
                 emit(node.e)
-                code.append(Instr(Op.NEGATE))
+                code.append(Instr(Op.CALL_PRIM, "neg"))
             case Apply():
                 for a in node.args:
                     emit(a)
@@ -236,27 +236,41 @@ def test_validate_rejects_corrupted_programs():
     arg = Instr(Op.LOAD_ARG, 0)
     pools = (Scalar(1.0),), (leaf,)
     Program((arg,), *pools, Arity(2)).validate()
+    Program((arg, Instr(Op.CALL_PRIM, "neg")), *pools, Arity(2)).validate()  # negation is a CALL_PRIM
+    Program((Instr(Op.LOAD_CONST, 1),), (Complex(1.0, 2.0), _SubScalar(1.0), Vector((1.0,))), (), Arity(2)).validate()
+    # (constants, leaves, exact message): one row per pool check
+    for constants, leaves, message in [
+        ((Scalar(1.0), 2.0), (leaf,), "constant 1 is not a Scalar, Complex, Quaternion or Vector"),
+        ((Scalar(1.0),), (leaf, "nope"), "leaf 1 is not a Leaf"),
+    ]:
+        with pytest.raises(InvalidProgramError) as info:
+            Program((arg,), constants, leaves, Arity(2)).validate()
+        assert str(info.value) == message
     # (instructions, frame arity (None: polymorphic), exact message): one row per failure branch
     table = [
         ((Instr(Op.LOAD_ARG, -1),), 2, "instruction 0: bad argument index"),
         ((Instr(Op.LOAD_ARG, "0"),), 2, "instruction 0: bad argument index"),
+        ((Instr(Op.LOAD_ARG, True),), 2, "instruction 0: bad argument index"),
         ((arg,), None, "instruction 0: argument load in a polymorphic frame"),
         ((Instr(Op.LOAD_ARG, 7),), 2, "instruction 0: argument index 7 outside frame arity 2"),
         ((arg, arg, Instr(Op.BINARY, "+")), 2, "instruction 2: bad operator payload"),
         ((arg, Instr(Op.BINARY, ArithOp.ADD)), 2, "instruction 1: stack underflow"),
         ((arg, Instr(Op.BEGIN_FRAME, 0)), 2, "instruction 1: bad frame arity"),
+        ((arg, Instr(Op.BEGIN_FRAME, True)), 2, "instruction 1: bad frame arity"),
         ((arg, Instr(Op.BEGIN_FRAME, 2)), 2, "instruction 1: stack underflow"),
         ((arg, Instr(Op.END_FRAME)), 2, "instruction 1: no frame to pop"),
         ((arg, Instr(Op.BEGIN_FRAME, 1), arg, arg, Instr(Op.END_FRAME)), 2,
          "instruction 4: frame body did not leave exactly one value"),
         ((Instr(Op.LOAD_CONST, 1),), 2, "instruction 0: constant index out of range"),
+        ((Instr(Op.LOAD_CONST, False),), 2, "instruction 0: constant index out of range"),
         ((arg, Instr(Op.CALL_PRIM, "nosuch")), 2, "instruction 1: unknown builtin 'nosuch'"),
+        ((arg, Instr(Op.CALL_PRIM, ["sin"])), 2, "instruction 1: unknown builtin ['sin']"),
         ((Instr(Op.CALL_PRIM, "sin"),), 2, "instruction 0: stack underflow"),
         ((Instr(Op.CALL_DEF, "not a program"),), 2, "instruction 0: bad definition payload"),
         ((Instr(Op.CALL_DEF, body),), None, "instruction 0: definition arity does not match frame arity"),
         ((Instr(Op.CALL_LEAF, 1),), 2, "instruction 0: leaf index out of range"),
+        ((Instr(Op.CALL_LEAF, False),), 2, "instruction 0: leaf index out of range"),
         ((Instr(Op.CALL_LEAF, 0),), None, "instruction 0: leaf arity does not match frame arity"),
-        ((Instr(Op.NEGATE),), 2, "instruction 0: stack underflow"),
         ((arg, Instr(Op.BEGIN_FRAME, 1), arg), 2, "unbalanced frames at end of program"),
         ((arg, Instr(Op.LOAD_CONST, 0)), 2, "program leaves 2 values on the stack, expected 1"),
         ((), 2, "program leaves 0 values on the stack, expected 1"),
@@ -288,6 +302,7 @@ def test_validate_checks_callee_arity_against_the_frame():
 
 
 _X = Instr(Op.LOAD_ARG, 0)
+_FIRSTS = {n: lift_function(f"first{n}", n, lambda *a: a[0]) for n in (1, 2, 3)}  # pure leaves
 
 
 @pytest.mark.parametrize(
@@ -297,11 +312,22 @@ _X = Instr(Op.LOAD_ARG, 0)
         (Program((Instr(Op.LOAD_CONST, 1),), (Scalar(1.0),), (), Arity(1)), "instruction 0: constant index out of range"),
         (Program((), (), (), Arity(1)), "program leaves 0 values on the stack, expected 1"),
         (Program((_X, _X), (), (), Arity(1)), "program leaves 2 values on the stack, expected 1"),
+        (Program((Instr(Op.LOAD_ARG, True),), (), (), Arity(1)), "instruction 0: bad argument index"),
+        (Program((Instr(Op.LOAD_CONST, False),), (Scalar(1.0),), (), Arity(1)), "instruction 0: constant index out of range"),
+        (Program((_X, Instr(Op.BEGIN_FRAME, True), _X, Instr(Op.END_FRAME)), (), (), Arity(1)),
+         "instruction 1: bad frame arity"),
+        (Program((Instr(Op.CALL_LEAF, False),), (), (_FIRSTS[1],), Arity(1)), "instruction 0: leaf index out of range"),
+        (Program((_X, Instr(Op.CALL_PRIM, ["sin"])), (), (), Arity(1)), "instruction 1: unknown builtin ['sin']"),
+        (Program((_X, Instr(Op.CALL_PRIM, {})), (), (), Arity(1)), "instruction 1: unknown builtin {}"),
+        (Program((Instr(Op.LOAD_CONST, 0),), (2.0,), (), Arity(1)),
+         "constant 0 is not a Scalar, Complex, Quaternion or Vector"),
+        (Program((_X,), (), ("nope",), Arity(1)), "leaf 0 is not a Leaf"),
         # a valid program whose definition body is not: the body's own first run checks it
         (Program((Instr(Op.CALL_DEF, Program((Instr(Op.LOAD_ARG, 5),), (), (), Arity(1))),), (), (), Arity(1)),
          "instruction 0: instruction 0: argument index 5 outside frame arity 1"),
     ],
-    ids=["load-arg", "load-const", "empty", "two-values", "body"],
+    ids=["load-arg", "load-const", "empty", "two-values", "load-arg-bool", "load-const-bool", "begin-frame-bool",
+         "call-leaf-bool", "call-prim-list", "call-prim-dict", "constant", "leaf", "body"],
 )
 def test_run_validates_a_hand_built_program(program, message):
     for _ in range(funcalg.vm._LANE_AFTER + 2):  # past the run that builds lanes
@@ -651,14 +677,19 @@ def _loop_results(p, cases, monkeypatch):
 
 def _check_lane(p, args, want):
     """The lane for args' types gives want bit for bit, by kind and by
-    `float.hex` per component; where the loop raised, the lane raises and
-    `run` re-raises the loop's exact error.  Returns the outcome's kind."""
+    `float.hex` per component; where the loop raised, the lane raises (or,
+    for a kind error, was never built: its code would raise on every run)
+    and `run` re-raises the loop's exact error.  Returns the outcome's kind."""
     lane = funcalg.vm._lane_of(p, tuple(map(type, args)))
-    assert callable(lane)
-    try:
-        got = lane(*args)
-    except Exception as err:
-        got = err
+    if lane is False:
+        assert isinstance(want, (UnsupportedKindError, UnsupportedPowError))
+        got = want
+    else:
+        assert callable(lane)
+        try:
+            got = lane(*args)
+        except Exception as err:
+            got = err
     if isinstance(got, ValueError) and str(got).startswith("zip()") and not isinstance(want, FuncalgError):
         # vectors of different lengths that never meet: the loop re-runs and answers
         got = run(p, args)
@@ -914,21 +945,24 @@ def test_tower_calls_programs_get_a_lane_per_signature(name):
     assert len(built) == 2 and p._lane is None
 
 
+def _spy_on_kernels(monkeypatch, calls):
+    """Wrap every entry of the kernel tables that the tree walker and `run`'s
+    loop call, so that each call appends its operator or builtin name."""
+    for table in (funcalg.values._BINOPS, funcalg.values._BUILTINS):
+        for key, kernel in list(table.items()):
+            monkeypatch.setitem(table, key, lambda *a, key=key, kernel=kernel: calls.append(key) or kernel(*a))
+
+
 @pytest.mark.parametrize("name", ["21", "2c"])
 @pytest.mark.parametrize("kind", [Complex, Quaternion])
 def test_tower_calls_lanes_square_without_value_binop(name, kind, monkeypatch):
     calls = []
-
-    def counting(op, a, b):
-        calls.append(op)
-        return value_binop(op, a, b)
-
-    monkeypatch.setattr(funcalg.vm, "value_binop", counting)  # before any lane is built
+    _spy_on_kernels(monkeypatch, calls)  # before any lane is built
     tree, n = _tower_calls_trees()[name]
     rng = random.Random(name)
     args = tuple(kind(*(rng.uniform(-2, 2) for _ in funcalg.values._FIELDS[kind])) for _ in range(n))
     p = compile_expr(tree)
-    want = run(p, args)  # the loop's first run goes through the wrapper
+    want = run(p, args)  # the loop's first run goes through the spies
     assert ArithOp.POW in calls
     calls.clear()
     got = funcalg.vm._lane_of(p, (kind,) * n)(*args)  # no fall-back to the loop hides a raise
@@ -1013,19 +1047,22 @@ def test_complex_and_quaternion_builtin_lanes_match_the_loop_without_kernel_call
     # complex exp, log, sqrt, sin and cos give complex values, quaternion abs a scalar; the rest raise
     result = dict.fromkeys(("exp", "log", "sqrt", "sin", "cos"), "Complex") | {"abs": "Scalar"}
     assert set(outcomes) == {"error", result.get(name, "error")}, outcomes
-    # the lanes call neither kernel: spied on before any lane is built
+    # the lanes call no kernel: spied on before any lane is built
     calls = []
-
-    def counting(kernel):
-        return lambda *a: calls.append(a[0]) or kernel(*a)
-
-    monkeypatch.setattr(funcalg.vm, "value_binop", counting(value_binop))
-    monkeypatch.setattr(funcalg.vm, "apply_builtin", counting(funcalg.vm.apply_builtin))
+    _spy_on_kernels(monkeypatch, calls)
     for tree in trees:
         p = compile_expr(tree)
+        try:
+            run(p, cases[0])  # the loop's first run goes through the spies
+        except FuncalgError:
+            pass
+        assert name in calls
+        calls.clear()
         for args in cases:
+            lane = funcalg.vm._lane_of(p, tuple(map(type, args)))
             try:
-                funcalg.vm._lane_of(p, tuple(map(type, args)))(*args)  # called directly: no fall-back
+                if lane:  # False only where the loop raised a kind error (_check_lane above)
+                    lane(*args)  # called directly: no fall-back
             except FuncalgError:
                 pass
     assert calls == []
@@ -1089,13 +1126,7 @@ def _wide_vectors_trees():
 @pytest.mark.parametrize("name", ["2a", "2b", "sin-cumsum"])
 def test_wide_vectors_programs_take_a_lane_without_kernel_calls(name, monkeypatch):
     calls = []
-
-    def counting(kernel):
-        return lambda *a: calls.append(a[0]) or kernel(*a)
-
-    # before any lane is built, so a lane that called either would call the wrapper
-    monkeypatch.setattr(funcalg.vm, "value_binop", counting(value_binop))
-    monkeypatch.setattr(funcalg.vm, "apply_builtin", counting(funcalg.vm.apply_builtin))
+    _spy_on_kernels(monkeypatch, calls)  # before any lane is built
     tree = _wide_vectors_trees()[name]
     args = (Vector(tuple(map(float, range(-5, 95)))),)  # a 1:N-style range through x = 1
     want = evaluate(tree, args)
@@ -1104,6 +1135,7 @@ def test_wide_vectors_programs_take_a_lane_without_kernel_calls(name, monkeypatc
         calls.clear()
         got = run(p, args)
         assert callable(p._lanes.get((Vector,))) == (runs >= funcalg.vm._LANE_AFTER)
+        assert bool(calls) == (runs < funcalg.vm._LANE_AFTER)  # the loop goes through the spies
     assert calls == []  # the last run built the lane and returned from it
     # called directly, no fall-back to the loop hides a raise
     for value in (got, p._lanes[(Vector,)](*args)):
@@ -1124,6 +1156,17 @@ def test_vector_lane_re_raises_the_loops_length_mismatch():
         lane(*short)
     equal = (Vector((1.0, 2.0, 3.0)), Vector((4.0, 5.0, 6.0)))
     assert lane(*equal) == run(p, equal) == evaluate(x * y + 1 / (1 - x), equal)
+
+
+def test_no_lane_is_built_for_code_that_always_raises():
+    x, = params(1)
+    p = compile_expr(builtin("tan")(x) + x)  # tan has no complex branch: a straight-line raise
+    for _ in range(funcalg.vm._LANE_AFTER + 2):
+        with pytest.raises(UnsupportedKindError) as info:
+            run(p, (Complex(0.5, 1.0),))
+        assert str(info.value) == "instruction 3: tan is not defined for complex values"
+    assert p._lanes[(Complex,)] is False
+    assert callable(funcalg.vm._lane_of(p, (Scalar,)))  # other signatures keep their lanes
 
 
 def test_vector_lane_zips_only_the_vectors_it_loads(monkeypatch):
@@ -1155,9 +1198,9 @@ def test_vector_lane_zips_only_the_vectors_an_operator_reads(monkeypatch):
 
 def test_a_lane_computes_a_repeated_builtin_call_once(monkeypatch):
     calls = []
-    kernel = funcalg.vm.apply_builtin
-    # before the lane is built, so the lane calls the spy
-    monkeypatch.setattr(funcalg.vm, "apply_builtin", lambda *a: calls.append(a[0]) or kernel(*a))
+    kernel = funcalg.values._BUILTINS["sin"]
+    # before the lane is built, so a lane that called the kernel would call the spy
+    monkeypatch.setitem(funcalg.values._BUILTINS, "sin", lambda a: calls.append("sin") or kernel(a))
     x, = params(1)
     sin = builtin("sin")
     tree = sin(x) + sin(x) * sin(x)  # three structurally equal calls, not one shared node
@@ -1291,3 +1334,131 @@ def test_lanes_of_repeated_subtrees_match_the_loop(seed, kind):
             want, = _loop_results(p, [args], mp)
         if funcalg.vm._lane_of(p, tuple(map(type, args))):
             _check_lane(p, args, want)
+
+
+# ---------------------------------------------------------------------------
+# Hand-built programs: validate guards what run and the lane builder read.
+
+def _hand_built_bodies():
+    """Definition bodies from compile_expr, by arity."""
+    bodies = {1: [], 2: [], 3: []}
+    for n in bodies:
+        x, *rest = params(n)
+        y = rest[0] if rest else x
+        bodies[n] += [compile_expr(t, Arity(n)) for t in (x * y - 1.5, -x, builtin("sin")(y), x ** 2.0 + y)]
+    return bodies
+
+
+_BODIES = _hand_built_bodies()
+
+
+def _edge_constant(draw):
+    grid = st.sampled_from(_EDGE)
+    kind = draw(st.sampled_from([Scalar, _SubScalar, Complex, Quaternion, Vector, float]))
+    if kind is Vector:
+        return Vector(tuple(draw(st.lists(grid, min_size=2, max_size=3))))
+    if kind is float:  # not a value: validate rejects it
+        return draw(grid)
+    return kind(*(draw(grid) for _ in funcalg.values._FIELDS[Scalar if kind is _SubScalar else kind]))
+
+
+def _any_payload(draw, op):
+    """A small payload for op, valid or not."""
+    bad = st.sampled_from([True, False, -1, None, "0", [1], {}, 1.0])
+    choices = {
+        Op.BINARY: st.sampled_from([*ArithOp, "+"]),
+        Op.CALL_PRIM: st.sampled_from([*PRIMITIVES, "neg", "nosuch", ("sin",), ["sin"]]),
+        Op.CALL_DEF: st.sampled_from([*_BODIES[1], *_BODIES[2], "not a program"]),
+        Op.END_FRAME: st.sampled_from([None, [1]]),
+    }
+    return draw(choices.get(op, st.integers(-1, 3)) | bad)
+
+
+@st.composite
+def _hand_built_programs(draw):
+    """A program of arity 1-3 over the eight opcodes: mostly valid moves
+    that keep the stack and frames in step, some instructions drawn with
+    any payload, and most programs closed to leave one value."""
+    n = draw(st.integers(1, 3))
+    constants = tuple(_edge_constant(draw) for _ in range(draw(st.integers(0, 3))))
+    leaves = tuple(draw(st.lists(st.sampled_from([*_FIRSTS.values(), "nope"]), max_size=2))
+                   if draw(st.booleans()) and draw(st.booleans()) else ())
+    code = []
+    depth, frames = 0, []  # stack depth; the enclosing frames' (arity, entry depth)
+    frame = n
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 7)) == 0:
+            op = draw(st.sampled_from(Op))
+            code.append(Instr(op, _any_payload(draw, op)))
+            continue
+        moves = [Op.LOAD_ARG, Op.CALL_DEF]
+        moves += [Op.LOAD_CONST] * bool(constants)
+        moves += [Op.CALL_LEAF] * any(getattr(v, "arity", None) == Arity(frame) for v in leaves)
+        moves += [Op.CALL_PRIM, Op.BEGIN_FRAME] * (depth >= 1) + [Op.BINARY] * (depth >= 2)
+        moves += [Op.END_FRAME] * bool(frames and depth == frames[-1][1] + 1)
+        op = draw(st.sampled_from(moves))
+        a = None
+        if op is Op.CALL_PRIM:
+            a = draw(st.sampled_from([*PRIMITIVES, "neg"]))
+        elif op is Op.BINARY:
+            a = draw(st.sampled_from(ArithOp))
+            depth -= 1
+        elif op is Op.BEGIN_FRAME:
+            a = draw(st.integers(1, min(depth, 3)))
+            depth -= a
+            frames.append((frame, depth))
+            frame = a
+        elif op is Op.END_FRAME:
+            frame = frames.pop()[0]
+        else:  # a load or a call: one more value
+            depth += 1
+            if op is Op.LOAD_ARG:
+                a = draw(st.integers(0, frame - 1))
+            elif op is Op.LOAD_CONST:
+                a = draw(st.integers(0, len(constants) - 1))
+            elif op is Op.CALL_DEF:
+                a = draw(st.sampled_from(_BODIES[frame]))
+            else:
+                a = draw(st.sampled_from([k for k, v in enumerate(leaves) if getattr(v, "arity", None) == Arity(frame)]))
+        code.append(Instr(op, a))
+    while draw(st.integers(0, 9)) and (frames or depth != 1):  # close the frames, then reduce to one value
+        if depth == 0 or frames and depth == frames[-1][1]:
+            code.append(_X if frame and frame >= 1 else Instr(Op.LOAD_CONST, 0))
+            depth += 1
+        elif frames and depth == frames[-1][1] + 1:
+            code.append(Instr(Op.END_FRAME))
+            frame = frames.pop()[0]
+        else:
+            code.append(Instr(Op.BINARY, draw(st.sampled_from(ArithOp))))
+            depth -= 1
+    return Program(tuple(code), constants, leaves, Arity(n))
+
+
+def _hand_built_outcome(run_once):
+    """What one run gives: its value's kind and `float.hex` per component
+    (any NaN as "nan": its sign may change with the run count), or the
+    FuncalgError's type and message.  Any other exception propagates."""
+    try:
+        v = run_once()
+    except FuncalgError as err:
+        return type(err).__name__, str(err)
+    kind = Vector if isinstance(v, Vector) else funcalg.values._kind(v)
+    assert kind is not None, v  # a value of the tower, or a Vector
+    xs = v.xs if kind is Vector else [getattr(v, f) for f in funcalg.values._FIELDS[kind]]
+    return kind.__name__, ["nan" if math.isnan(x) else x.hex() for x in xs]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(p=_hand_built_programs(), data=st.data())
+def test_a_hand_built_program_is_rejected_or_runs_the_same_every_time(p, data):
+    n = p.arity.n
+    kind = data.draw(st.sampled_from([Scalar, Complex, Quaternion, Vector]))
+    if kind is Vector:
+        args = tuple(Vector(tuple(data.draw(st.sampled_from(_EDGE)) for _ in range(3))) for _ in range(n))
+    else:
+        args = tuple(kind(*(data.draw(st.sampled_from(_EDGE)) for _ in funcalg.values._FIELDS[kind])) for _ in range(n))
+    first = _hand_built_outcome(lambda: run(p, args))
+    if first[0] == "InvalidProgramError":
+        return
+    for _ in range(funcalg.vm._LANE_AFTER + 8):  # across the run that builds the lane
+        assert _hand_built_outcome(lambda: run(p, args)) == first
