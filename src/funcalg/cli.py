@@ -17,7 +17,6 @@ REPL commands:
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass, replace
 
@@ -259,6 +258,8 @@ def _joined_eval(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line needs it: importing funcalg does not
+
     ap = argparse.ArgumentParser(
         prog="funcalg",
         description="Function algebra engine: arithmetic on functions, "

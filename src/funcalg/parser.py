@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import re
-import string
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import itemgetter
@@ -107,7 +106,7 @@ _NUMBER_START = re.compile(r"\.?\d", re.ASCII).match  # in a gap: a number that 
 
 _KINDS = {  # token kind by the lexeme's first character
     **dict.fromkeys("0123456789.", "number"),
-    **dict.fromkeys(string.ascii_letters + "_", "ident"),
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", "ident"),
     **dict.fromkeys("-+*/^", "op"),
     "(": "lparen", ")": "rparen", "[": "lbracket", "]": "rbracket",
     ",": "comma", ";": "semi", ":": "colon", "=": "assign",

@@ -219,7 +219,8 @@ def _cpow_parts(a0: float, a1: float, b0: float, b1: float) -> tuple[float, floa
 # kernels `_BINOPS` and `_BUILTINS` and the lanes of `vm` are all generated
 # from these, in the namespace `_CODE_NS` with the real kernels,
 # so they do the same IEEE operations in the same order and raise the same
-# errors; `_define` compiles them all and keeps their source.
+# errors; `_define` compiles each and keeps its source: a kernel on its first
+# call (`_Lazy`), a lane when `vm` builds it.
 
 # The value types held as float fields, and their fields; `_WIDTH_KINDS[w]`
 # is the type of width w.
@@ -531,11 +532,44 @@ def _real_kernels() -> dict:
             for p, f in zip("kr", pair)}
 
 
+class _Lazy:
+    """A kernel table's entry until the kernel is first used: the first call
+    (or read of `__wrapped__`, which `inspect` follows) compiles `make(key)`
+    and stores it in the entry's slot, if the slot still holds the entry (a
+    replacement, such as a test's spy, stays).  The tables stay exact dicts,
+    whose lookups CPython specializes.  Two threads that first call one
+    kernel together each compile it; either one is correct."""
+
+    __slots__ = ("table", "key", "make", "kernel")
+
+    def __init__(self, table: dict, key, make):
+        self.table, self.key, self.make, self.kernel = table, key, make, None
+
+    @property
+    def __wrapped__(self):
+        if self.kernel is None:
+            self.kernel = self.make(self.key)
+        if self.table.get(self.key) is self:
+            self.table[self.key] = self.kernel
+        return self.kernel
+
+    def __call__(self, *args):
+        return self.__wrapped__(*args)
+
+
+def _lazy_table(keys, make) -> dict:
+    """A dict of every key, each entry a `_Lazy` that compiles `make(key)`."""
+    table = {}
+    for key in keys:
+        table[key] = _Lazy(table, key, make)
+    return table
+
+
 _KERNEL_NS = {**_CODE_NS, "binop_rest": _binop_rest, "builtin_rest": _builtin_rest,
               **{op.name: op for op in ArithOp}, **_real_kernels()}
-_BINOPS = {op: _define(op.name.lower(), "a, b", _binop_code(op), _KERNEL_NS) for op in ArithOp}
+_BINOPS = _lazy_table(ArithOp, lambda op: _define(op.name.lower(), "a, b", _binop_code(op), _KERNEL_NS))
 # negation's kernel is "neg", which names no builtin: it is not in BUILTIN_NAMES
-_BUILTINS = {name: _define(name, "a", _builtin_code(name), _KERNEL_NS) for name in (*BUILTIN_ORDER, "neg")}
+_BUILTINS = _lazy_table((*BUILTIN_ORDER, "neg"), lambda name: _define(name, "a", _builtin_code(name), _KERNEL_NS))
 
 
 def value_binop(op: ArithOp, a: Value, b: Value) -> Value:

@@ -51,12 +51,12 @@ walker's kernels: `_read_code` reads a boxed value's fields into locals,
 write each operator and builtin at its operands' widths, so a lane runs a
 kernel's statements inline (if they are a `raise`, as for `Tan` of a
 complex value, the signature gets no lane).  A lane binds each distinct
-constant boxed, as `c<k>`, and reads its fields at its start as it reads
-its arguments, by `_read_code`.  Two constant exponents differ: a
-quaternion `^` by a `Scalar` from 0 to `_POW_UNROLL` is the kernel's
-square-and-multiply loop unrolled (`_qpow_code`), and a scalar `^` by a
-finite non-integer maps a negative finite base to NaN, the repair's answer,
-without a raise.  A lane boxes values only to call a body's lane (CALL_DEF)
+constant boxed, as `c<k>`, and reads at its start, as it reads its
+arguments (by `_read_code`), those of its fields that some statement
+uses.  Two constant exponents differ: a quaternion `^` by a `Scalar`
+from 0 to `_POW_UNROLL` is the kernel's square-and-multiply loop unrolled
+(`_qpow_code`), and a scalar `^` by a finite non-integer maps a negative
+finite base to NaN, the repair's answer, without a raise.  A lane boxes values only to call a body's lane (CALL_DEF)
 and to return, and binds the real kernels it calls (`values._real_kernels`)
 when it is built.
 `run` tries the all-`Scalar` lane first, with no signature lookup; it
@@ -88,7 +88,6 @@ each build a lane or a body, and either one is correct.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import struct
@@ -150,6 +149,8 @@ class Program:
         pools hold values and leaves, every payload has its type, every
         instruction stays in bounds, and execution leaves exactly one value
         with all frames popped."""
+        if not isinstance(self.arity, Arity):
+            raise InvalidProgramError("program arity is not an Arity")
         depth = 0
         n = self.arity.n  # arity of the current frame; None is polymorphic
         outer: list[tuple[int | None, int]] = []  # the enclosing frames' arities and entry depths
@@ -204,6 +205,8 @@ class Program:
             elif op is _CALL_DEF:
                 if not isinstance(a, Program):
                     fail(ip, "bad definition payload")
+                if not isinstance(a.arity, Arity):
+                    fail(ip, "definition arity is not an Arity")
                 if a.arity.n != n:
                     fail(ip, "definition arity does not match frame arity")
                 depth += 1
@@ -344,6 +347,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             ns[f"c{k}"] = c
             names[key] = unbox(f"c{k}", len(fields)) if fields else (f"c{k}", 1)
         consts.append(names[key])
+    nreads = len(pre)  # the constants' field reads, kept below where a statement uses them
     # a polymorphic frame (None) only passes its arguments on
     frame = [(f"a{i}", 1) if t is Vector else unbox(f"a{i}", len(_FIELDS[t]))
              for i, t in enumerate(sig)] if p.arity.n else None
@@ -426,6 +430,8 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         over = f"{sources[0]}.xs" if len(sources) == 1 else f"zip({', '.join(s + '.xs' for s in sources)}, strict=True)"
         pre += ["out = []", "push = out.append", f"for {', '.join(s + '_0' for s in sources)} in {over}:"]
         pre += ["    " + s for s in loop] + [f"    push({stack[0][0]}_0)", "return boxv(tuple(out))"]
+    uses = set(re.findall(r"\bc\d+_\d+\b", "\n".join(pre[nreads:])))
+    pre[:nreads] = [s for s in pre[:nreads] if s.split(" = ")[0] in uses]
     lane = _define("lane", head, pre, ns)
     lane.width = None if vector else stack[0][1]  # the result's, for the lanes that call this one
     return lane
@@ -435,8 +441,12 @@ def run(p: Program, args: Sequence[Value]) -> Value:
     """Execute a program on an argument list; equals evaluate() on the
     source tree exactly.  Evaluation errors carry the instruction index."""
     argtuple = tuple(args)
-    if not p.arity.accepts(len(argtuple)):
-        raise ArityMismatchError(f"program expects {p.arity} argument(s), got {len(argtuple)}")
+    try:
+        if not p.arity.accepts(len(argtuple)):
+            raise ArityMismatchError(f"program expects {p.arity} argument(s), got {len(argtuple)}")
+    except AttributeError:  # an arity that is not an Arity, in a hand-built program
+        p.validate()  # raises InvalidProgramError
+        raise
     for v in argtuple:
         if type(v) is not Scalar:
             lanes = p._lanes
@@ -520,6 +530,8 @@ class BenchReport:
         }
 
     def as_json(self, digits: int = 7) -> str:
+        import json  # only :bench reports need it: importing funcalg does not
+
         return json.dumps(self.as_dict(digits))
 
 

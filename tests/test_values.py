@@ -14,8 +14,11 @@ import math
 import operator
 import random
 import re
+import subprocess
+import sys
 import traceback
 from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -720,6 +723,46 @@ def test_a_kernel_keeps_its_generated_source():
     last = traceback.extract_tb(info.tb)[-1]
     assert re.fullmatch(r"<funcalg pow [0-9a-f]{8}>", last.filename), last.filename
     assert last.line.startswith("raise UnsupportedPowError("), last.line
+
+
+def test_import_compiles_no_kernel_and_a_first_call_compiles_only_its_own():
+    # a fresh interpreter: importing funcalg generates nothing and loads no
+    # module that only the command line or :bench uses
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import linecache\n"
+        "import funcalg; from funcalg.values import _BINOPS, ArithOp, Scalar, value_binop\n"
+        "generated = lambda: [k.split()[1] for k in linecache.cache if k.startswith('<funcalg ')]\n"
+        "print(generated(), sorted(m for m in ('argparse', 'string', 'json') if m in sys.modules))\n"
+        "assert value_binop(ArithOp.MUL, Scalar(2.0), Scalar(3.0)) == Scalar(6.0)\n"
+        "print(generated(), [op.name for op, k in _BINOPS.items() if type(k).__name__ == 'function'])\n"
+    )
+    src = str(Path(funcalg.values.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[] []", "['mul'] ['MUL']"]
+
+
+def test_the_kernel_tables_are_exact_dicts_of_every_key():
+    # CPython specializes `d[k]` only for an exact dict
+    assert type(funcalg.values._BINOPS) is dict and list(funcalg.values._BINOPS) == list(ArithOp)
+    assert type(funcalg.values._BUILTINS) is dict
+    assert list(funcalg.values._BUILTINS) == [*funcalg.values.BUILTIN_ORDER, "neg"]
+
+
+def test_a_lazy_kernel_compiles_once_and_leaves_a_replacement_in_place(monkeypatch):
+    made = []
+    kernel = inspect.unwrap(funcalg.values._BINOPS[SUB])
+    make = lambda op: made.append(op) or kernel
+    table = funcalg.values._BINOPS
+    monkeypatch.setitem(table, SUB, funcalg.values._Lazy(table, SUB, make))
+    entry = table[SUB]
+    spy = lambda a, b: entry(a, b)  # a replacement that calls the entry
+    monkeypatch.setitem(table, SUB, spy)
+    assert value_binop(SUB, Scalar(5.0), Scalar(3.0)) == Scalar(2.0)
+    assert table[SUB] is spy and made == [SUB]
+    table[SUB] = entry  # the entry's slot again: its next call stores the kernel there
+    assert value_binop(SUB, Scalar(5.0), Scalar(3.0)) == Scalar(2.0)
+    assert table[SUB] is kernel and made == [SUB]
 
 
 def test_value_neg(monkeypatch):

@@ -267,6 +267,7 @@ def test_validate_rejects_corrupted_programs():
         ((arg, Instr(Op.CALL_PRIM, ["sin"])), 2, "instruction 1: unknown builtin ['sin']"),
         ((Instr(Op.CALL_PRIM, "sin"),), 2, "instruction 0: stack underflow"),
         ((Instr(Op.CALL_DEF, "not a program"),), 2, "instruction 0: bad definition payload"),
+        ((Instr(Op.CALL_DEF, Program((arg,), (), (), 2)),), 2, "instruction 0: definition arity is not an Arity"),
         ((Instr(Op.CALL_DEF, body),), None, "instruction 0: definition arity does not match frame arity"),
         ((Instr(Op.CALL_LEAF, 1),), 2, "instruction 0: leaf index out of range"),
         ((Instr(Op.CALL_LEAF, False),), 2, "instruction 0: leaf index out of range"),
@@ -322,12 +323,15 @@ _FIRSTS = {n: lift_function(f"first{n}", n, lambda *a: a[0]) for n in (1, 2, 3)}
         (Program((Instr(Op.LOAD_CONST, 0),), (2.0,), (), Arity(1)),
          "constant 0 is not a Scalar, Complex, Quaternion or Vector"),
         (Program((_X,), (), ("nope",), Arity(1)), "leaf 0 is not a Leaf"),
+        (Program((_X,), (), (), 1), "program arity is not an Arity"),
+        (Program((Instr(Op.CALL_DEF, Program((_X,), (), (), 1)),), (), (), Arity(1)),
+         "instruction 0: definition arity is not an Arity"),
         # a valid program whose definition body is not: the body's own first run checks it
         (Program((Instr(Op.CALL_DEF, Program((Instr(Op.LOAD_ARG, 5),), (), (), Arity(1))),), (), (), Arity(1)),
          "instruction 0: instruction 0: argument index 5 outside frame arity 1"),
     ],
     ids=["load-arg", "load-const", "empty", "two-values", "load-arg-bool", "load-const-bool", "begin-frame-bool",
-         "call-leaf-bool", "call-prim-list", "call-prim-dict", "constant", "leaf", "body"],
+         "call-leaf-bool", "call-prim-list", "call-prim-dict", "constant", "leaf", "arity", "body-arity", "body"],
 )
 def test_run_validates_a_hand_built_program(program, message):
     for _ in range(funcalg.vm._LANE_AFTER + 2):  # past the run that builds lanes
@@ -1290,14 +1294,17 @@ def test_lanes_share_no_constants_that_differ_in_sign(args, monkeypatch):
         if type(want) in (Scalar, Vector):  # no operation here meets two NaNs (see _bits)
             assert _bits(funcalg.vm._lane_of(p, sig)(*args)) == _bits(want)
         # the lane binds each distinct constant boxed, as c<k> for the first of
-        # equal bits, and reads its fields once, at its start, as it reads
-        # arguments: no field is bound at build time or taken as a default
+        # equal bits, and reads each field that a statement uses once, at its
+        # start, as it reads arguments: no field is bound at build time or
+        # taken as a default, and none is read unused
         first = {}
         for k, c in enumerate(p.constants):
             first.setdefault((type(c), *_bits(c)), k)
-        reads = [f"    c{k}_{j} = c{k}.{f}" for k in first.values()
-                 for j, f in enumerate(funcalg.values._FIELDS[type(p.constants[k])])]
         lines = inspect.getsource(funcalg.vm._lane_of(p, sig)).splitlines()
+        rest = "\n".join(s for s in lines[1:] if not re.fullmatch(r" +c\d+_\d+ = c\d+\.\w+", s))
+        reads = [f"    c{k}_{j} = c{k}.{f}" for k in first.values()
+                 for j, f in enumerate(funcalg.values._FIELDS[type(p.constants[k])])
+                 if re.search(rf"\bc{k}_{j}\b", rest)]
         assert lines[1:1 + len(reads)] == reads
         assert sum(bool(re.search(r"= c\d+\.", s)) for s in lines) == len(reads)
         assert not re.search(r"\bc\d+_\d+=", lines[0])
@@ -1378,7 +1385,8 @@ def _any_payload(draw, op):
 def _hand_built_programs(draw):
     """A program of arity 1-3 over the eight opcodes: mostly valid moves
     that keep the stack and frames in step, some instructions drawn with
-    any payload, and most programs closed to leave one value."""
+    any payload, and most programs closed to leave one value.  Some have,
+    or call a body that has, a bare int as its arity, which is not an Arity."""
     n = draw(st.integers(1, 3))
     constants = tuple(_edge_constant(draw) for _ in range(draw(st.integers(0, 3))))
     leaves = tuple(draw(st.lists(st.sampled_from([*_FIRSTS.values(), "nope"]), max_size=2))
@@ -1418,6 +1426,8 @@ def _hand_built_programs(draw):
                 a = draw(st.integers(0, len(constants) - 1))
             elif op is Op.CALL_DEF:
                 a = draw(st.sampled_from(_BODIES[frame]))
+                if not draw(st.integers(0, 15)):  # the same body with the bare int as its arity
+                    a = Program(a.instructions, a.constants, a.leaves, frame)
             else:
                 a = draw(st.sampled_from([k for k, v in enumerate(leaves) if getattr(v, "arity", None) == Arity(frame)]))
         code.append(Instr(op, a))
@@ -1431,7 +1441,7 @@ def _hand_built_programs(draw):
         else:
             code.append(Instr(Op.BINARY, draw(st.sampled_from(ArithOp))))
             depth -= 1
-    return Program(tuple(code), constants, leaves, Arity(n))
+    return Program(tuple(code), constants, leaves, Arity(n) if draw(st.integers(0, 15)) else n)
 
 
 def _hand_built_outcome(run_once):
@@ -1451,7 +1461,7 @@ def _hand_built_outcome(run_once):
 @settings(derandomize=True, database=None, deadline=None, max_examples=600)
 @given(p=_hand_built_programs(), data=st.data())
 def test_a_hand_built_program_is_rejected_or_runs_the_same_every_time(p, data):
-    n = p.arity.n
+    n = p.arity.n if isinstance(p.arity, Arity) else p.arity
     kind = data.draw(st.sampled_from([Scalar, Complex, Quaternion, Vector]))
     if kind is Vector:
         args = tuple(Vector(tuple(data.draw(st.sampled_from(_EDGE)) for _ in range(3))) for _ in range(n))
