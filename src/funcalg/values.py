@@ -283,25 +283,31 @@ _TOWER_OPS = {
 }
 
 
-def _tower_code(t: str, op: ArithOp, xs: list[str], ys: list[str]) -> list[str]:
+def _tower_code(t: str, op: ArithOp, xs: list[str], ys: list[str], const: Value | None = None) -> list[str]:
     """Statements that bind t_0 .. t_{w-1} to `xs op ys` on the component
     expressions xs and ys, the narrower padded with 0.0 to the width w of the
     wider, by `_TOWER_OPS`; a real `/` or `^` is `_real_code`, a complex `^`
     calls `cpow`, and a quaternion one is `_qpow_code` by ys[0], a Scalar's
-    name or an int, or a raise for a wider exponent.  A complex or
-    quaternion `/` binds the divisor's squared norm tn and divides by it: a
-    complex one's numerators, a quaternion one's divisor to its inverse ti0
-    .. ti3, testing tn once: plain `/` where tn is nonzero (NaN and infinity
-    too), `/`'s repair r_DIV where it is zero."""
+    name, or a raise for a wider exponent.  A complex or quaternion `/` binds
+    the divisor's squared norm tn and divides by it: a complex one's
+    numerators, a quaternion one's divisor to its inverse ti0 .. ti3, testing
+    tn once: plain `/` where tn is nonzero (NaN and infinity too), `/`'s
+    repair r_DIV where it is zero.  const is ys's value where the caller
+    knows it (a lane's constant), and two constant Scalar exponents differ:
+    a quaternion `^` by one is `_qpow_code` by its value, and a real `^` by a
+    finite non-integer maps a negative finite base to NaN, the repair's
+    answer, without a raise."""
     w = max(len(xs), len(ys))
     if op is ArithOp.POW and w == 4 and len(ys) > 1:
         why = "quaternion power needs a scalar exponent" if len(xs) == 4 else "quaternion exponents are not supported"
         return [f"raise UnsupportedPowError({why!r})"]
     xs, ys = (list(v) + ["0.0"] * (w - len(v)) for v in (xs, ys))
+    e = const.x if op is ArithOp.POW and type(const) is Scalar else None
     if w == 1 and (op, w) not in _TOWER_OPS:  # real / and ^
-        return _real_code(t, op.name, _REAL_OPS[op], xs + ys)
+        raw = f"nan if -inf < {xs[0]} < 0.0 else k_POW({xs[0]}, {ys[0]})" if e and math.isfinite(e) and not e.is_integer() else ""
+        return _real_code(t, op.name, _REAL_OPS[op], xs + ys, raw)
     if op is ArithOp.POW:
-        return [f"{t}_0, {t}_1 = cpow({', '.join(xs + ys)})"] if w == 2 else _qpow_code(t, xs, ys[0])
+        return [f"{t}_0, {t}_1 = cpow({', '.join(xs + ys)})"] if w == 2 else _qpow_code(t, xs, ys[0], e)
     if op is not ArithOp.DIV:
         return [f"{t}_{j} = " + s.format(a=xs, b=ys) for j, s in enumerate(_TOWER_OPS[op, w])]
     if w == 2:
@@ -325,23 +331,34 @@ def _real_code(t: str, name: str, pair, xs: list[str], raw: str = "") -> list[st
     return [f"try: {t}_0 = {raw}", f"except (ArithmeticError, ValueError): {t}_0 = r_{name}{call}"]
 
 
-def _qpow_code(t: str, xs: list[str], n: int | str) -> list[str]:
-    """Statements that bind t_0 .. t_3 to the quaternion xs to the power n by
-    square-and-multiply over `_tower_code`'s Hamilton product (associativity
-    makes it the repeated product): for a float's name n, a loop over its
-    bits that squares a copy tb_0 .. tb_3 of xs (whose names a lane may
-    share; one statement per component builds no tuple), once n is checked
-    to be a non-negative integer (else it raises); for an int n, unrolled."""
+# The largest constant exponent of a quaternion ^ that `_qpow_code` unrolls; up
+# to it the unrolled code is at most 11 Hamilton products (for 63).
+_POW_UNROLL = 64
+
+
+def _qpow_code(t: str, xs: list[str], n: str, e: float | None = None) -> list[str]:
+    """Statements that bind t_0 .. t_3 to the quaternion xs to the power n, a
+    float's name, by square-and-multiply over `_tower_code`'s Hamilton product
+    (associativity makes it the repeated product): where n's value e is known,
+    unrolled up to `_POW_UNROLL` and a raise outside the domain; else a loop
+    over n's bits, once n is checked to be a non-negative integer (else it
+    raises), that squares a copy tb_0 .. tb_3 of xs (whose names a lane may
+    share; one statement per component builds no tuple) until it is all NaN,
+    as every later product then is: one more multiply ends it."""
+    domain = "raise UnsupportedPowError('quaternion power is defined only for non-negative integer exponents')"
+    if e is not None and not (e.is_integer() and e >= 0):
+        return [domain]
     acc, code, k = ["1.0", "0.0", "0.0", "0.0"], [], 0
-    if type(n) is str:
+    if e is None or e > _POW_UNROLL:
         b = _comps(f"{t}b", 4)
         ts, ms, ss, bs = (", ".join(_comps(v, 4)) for v in (t, f"{t}m", f"{t}s", f"{t}b"))
         step = lambda u, x, y: ["        " + s for s in _tower_code(u, ArithOp.MUL, x, y)]
-        return [f"if not ({n}.is_integer() and {n} >= 0):",
-                "    raise UnsupportedPowError('quaternion power is defined only for non-negative integer exponents')",
+        return [f"if not ({n}.is_integer() and {n} >= 0):", f"    {domain}",
                 f"{t}e = int({n})", f"{ts} = {', '.join(acc)}", *map("{} = {}".format, b, xs), f"while {t}e:",
                 f"    if {t}e & 1:", *step(f"{t}m", _comps(t, 4), b), f"        {ts} = {ms}", f"    {t}e >>= 1",
-                f"    if {t}e:", *step(f"{t}s", b, b), f"        {bs} = {ss}"]
+                f"    if {t}e:", *step(f"{t}s", b, b), f"        {bs} = {ss}",
+                f"        if {' and '.join(f'{x} != {x}' for x in b)}: {t}e = 1"]
+    n = int(e)
     while n:
         if n & 1:
             code += _tower_code(f"{t}m{k}", ArithOp.MUL, acc, xs)
@@ -527,9 +544,9 @@ def _builtin_code(name: str) -> list[str]:
 
 
 def _real_kernels() -> dict:
-    """Each real kernel's C function k_NAME and repair r_NAME, as the tables hold them now."""
-    return {f"{p}_{name}": f for name, pair in [*((op.name, k) for op, k in _REAL_OPS.items()), *_SCALAR_KERNELS.items()]
-            for p, f in zip("kr", pair)}
+    """Each real kernel's C function k_NAME and repair r_NAME, as the tables hold them now, and nan and inf."""
+    pairs = [*((op.name, k) for op, k in _REAL_OPS.items()), *_SCALAR_KERNELS.items()]
+    return {"nan": math.nan, "inf": math.inf, **{f"{p}_{name}": f for name, pair in pairs for p, f in zip("kr", pair)}}
 
 
 class _Lazy:

@@ -53,12 +53,9 @@ kernel's statements inline (if they are a `raise`, as for `Tan` of a
 complex value, the signature gets no lane).  A lane binds each distinct
 constant boxed, as `c<k>`, and reads at its start, as it reads its
 arguments (by `_read_code`), those of its fields that some statement
-uses.  Two constant exponents differ: a quaternion `^` by a `Scalar`
-from 0 to `_POW_UNROLL` is the kernel's square-and-multiply loop unrolled
-(`_qpow_code`), and a scalar `^` by a finite non-integer maps a negative
-finite base to NaN, the repair's answer, without a raise.  A lane boxes values only to call a body's lane (CALL_DEF)
-and to return, and binds the real kernels it calls (`values._real_kernels`)
-when it is built.
+uses; `_tower_code` writes an operator by a constant knowing its value.
+A lane boxes values only to call a body's lane (CALL_DEF) and to return,
+and binds the real kernels it calls (`values._real_kernels`) when built.
 `run` tries the all-`Scalar` lane first, with no signature lookup; it
 counts the runs that find no lane and, from the `_LANE_AFTER`-th (never at
 compile time), builds the run's lane.  `Scalar` subclasses and leaves stay
@@ -88,7 +85,6 @@ each build a lane or a body, and either one is correct.
 
 from __future__ import annotations
 
-import math
 import re
 import struct
 import time
@@ -104,7 +100,7 @@ from .errors import (
     InvalidProgramError,
 )
 from .values import ArithOp, Complex, Quaternion, Scalar, Value, Vector, format_value, same_value
-from .values import _BINOPS, _BUILTINS, _CODE_NS, _FIELDS, _REAL_OPS, _SCAN_KERNELS, _WIDTH_KINDS, _build_code, _comps, _define, _prim_code, _read_code, _real_code, _real_kernels, _tower_code, _vector
+from .values import _BINOPS, _BUILTINS, _CODE_NS, _FIELDS, _SCAN_KERNELS, _WIDTH_KINDS, _build_code, _comps, _define, _prim_code, _read_code, _real_kernels, _tower_code, _vector
 
 
 class Op(Enum):
@@ -286,10 +282,6 @@ def compile_expr(e: FuncExpr, arity: Arity | None = None) -> Program:
 # for itself at once; it waits for the same count.
 _LANE_AFTER = 32
 
-# The largest constant exponent of a quaternion ^ that a lane unrolls; up to it
-# the unrolled code is at most 11 Hamilton products (for 63).
-_POW_UNROLL = 64
-
 
 def _lane_of(p: Program, sig: tuple[type, ...]):
     """p's lane for argument types `sig`, built on first request; False if none."""
@@ -375,17 +367,9 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
             stack.append(frame[a])
         elif op is _BINARY:
             y = stack.pop()
-            xs, ys = comps(stack[-1]), comps(y)
-            # ^ by a constant c (of the stack's names, ns binds only theirs) that is a Scalar
-            c = ns.get(y[0]) if a is ArithOp.POW else None
-            if type(c) is Scalar and len(xs) == 4 and c.x in range(_POW_UNROLL + 1):
-                ys = [int(c.x)]  # unrolled
-            if type(c) is Scalar and len(xs) == 1 and math.isfinite(c.x) and not c.x.is_integer():
-                # a non-integer: a negative finite base's NaN is inline, not raised
-                code = _real_code(t, "POW", _REAL_OPS[a], xs + ys, f"nan if -inf < {xs[0]} < 0.0 else k_POW({xs[0]}, {ys[0]})")
-            else:
-                code = _tower_code(t, a, xs, ys)
-            stack[-1] = (t, max(len(xs), len(ys)))
+            # of the stack's names, ns binds only the constants': the writer decides a constant operand
+            code = _tower_code(t, a, comps(stack[-1]), comps(y), ns.get(y[0]))
+            stack[-1] = (t, max(stack[-1][1], y[1]))
         elif op is _BEGIN_FRAME:
             saved.append(frame)
             frame = stack[-a:]
@@ -414,8 +398,7 @@ def _build_lane(p: Program, sig: tuple[type, ...]):
         lines.extend(code)
         if key:
             memo[key] = stack[-1]
-    # the real kernels the code calls (and the inline NaN's names), as the tables hold them now
-    kernels = {**_real_kernels(), "nan": math.nan, "inf": math.inf}
+    kernels = _real_kernels()  # those the code calls (and the inline NaN's names) are bound as the tables hold them now
     used = dict.fromkeys(re.findall(r"\b(?:[kr]_\w+|nan|inf)\b", "\n".join(pre + loop)))
     ns.update((n, kernels[n]) for n in used)
     if not vector:

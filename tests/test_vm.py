@@ -976,7 +976,7 @@ def test_tower_calls_lanes_square_without_value_binop(name, kind, monkeypatch):
 
 
 def test_tower_pow_lanes_match_the_loop_on_edge_exponents(monkeypatch):
-    cap = float(funcalg.vm._POW_UNROLL)
+    cap = float(funcalg.values._POW_UNROLL)
     rng = random.Random(909)
     grid = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, math.inf, -math.inf, math.nan, 1e308, 5e-324)
     bases = [Scalar(a) for a in grid] + [Complex(a, b) for a in grid for b in grid]
@@ -1171,6 +1171,16 @@ def test_no_lane_is_built_for_code_that_always_raises():
         assert str(info.value) == "instruction 3: tan is not defined for complex values"
     assert p._lanes[(Complex,)] is False
     assert callable(funcalg.vm._lane_of(p, (Scalar,)))  # other signatures keep their lanes
+    q = Quaternion(1.0, 2.0, 0.5, -1.0)
+    for c in (2.5, -1.0, -0.5, math.nan, math.inf, -math.inf):  # a constant exponent outside the domain
+        p = compile_expr(x ** c)
+        for _ in range(funcalg.vm._LANE_AFTER + 2):
+            with pytest.raises(UnsupportedPowError) as info:
+                run(p, (q,))
+            assert str(info.value) == "instruction 2: quaternion power is defined only for non-negative integer exponents"
+        assert p._lanes[(Quaternion,)] is False
+    for c in (0.0, 2.0, 64.0, 65.0, 2.0 ** 53):  # unrolled up to 64, the loop above it
+        assert callable(funcalg.vm._lane_of(compile_expr(x ** c), (Quaternion,)))
 
 
 def test_vector_lane_zips_only_the_vectors_it_loads(monkeypatch):
