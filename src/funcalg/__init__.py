@@ -7,6 +7,10 @@ and quaternions, either by walking the tree or through a compiled
 stack-machine program, and a small expression language with a REPL sits
 on top.
 
+`import funcalg` loads only `errors`, `values` and `algebra`: `vm`, `parser`
+and `cli`, and the names they export, load on first use (PEP 562), so code
+that only builds and calls trees loads none of them.
+
 >>> from funcalg import params, builtin
 >>> x, = params(1)
 >>> f = x * x
@@ -17,6 +21,8 @@ Scalar(x=3.0)
 >>> fun(builtin("sin"))(0.32)          # composition: sin(t)^2 + 2 at 0.32
 Scalar(x=2.0989521210578537)
 """
+
+from importlib import import_module
 
 from .algebra import (
     Apply,
@@ -43,7 +49,6 @@ from .algebra import (
     negate,
     params,
 )
-from .cli import Session, SessionConfig, eval_once, main, run_repl, run_script
 from .errors import (
     ArityMismatchError,
     BackendMismatchError,
@@ -59,21 +64,6 @@ from .errors import (
     UnsupportedKindError,
     UnsupportedPowError,
 )
-from .parser import (
-    BareExpression,
-    ConstDef,
-    Env,
-    FunctionDef,
-    ReplCommand,
-    Statement,
-    Token,
-    parse_command,
-    parse_expression,
-    parse_statement,
-    parse_statements,
-    print_expr,
-    tokenize,
-)
 from .values import (
     ArithOp,
     Complex,
@@ -87,7 +77,6 @@ from .values import (
     value_binop,
     value_neg,
 )
-from .vm import BenchReport, Instr, Op, Program, bench, compile_expr, run
 
 __version__ = "0.1.0"
 
@@ -166,3 +155,25 @@ __all__ = [
     "value_binop",
     "value_neg",
 ]
+
+# The submodules that load on first use, by their own names and those they export
+_DEFERRED = {name: module for module, names in (
+    ("cli", "Session SessionConfig eval_once main run_repl run_script"),
+    ("parser", "BareExpression ConstDef Env FunctionDef ReplCommand Statement Token parse_command "
+               "parse_expression parse_statement parse_statements print_expr tokenize"),
+    ("vm", "BenchReport Instr Op Program bench compile_expr run"),
+) for name in (module, *names.split())}
+
+
+def __getattr__(name: str):
+    """Import a deferred name's submodule and keep the name here, so that
+    every later lookup is a plain dict hit (PEP 562)."""
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_DEFERRED[name]}")
+    globals()[name] = value = module if name == _DEFERRED[name] else getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -742,6 +742,32 @@ def test_import_compiles_no_kernel_and_a_first_call_compiles_only_its_own():
     assert proc.stdout.splitlines() == ["[] []", "['mul'] ['MUL']"]
 
 
+def test_import_loads_only_the_algebra_core_and_the_rest_on_first_use():
+    # a fresh interpreter: the command line, the parser and the VM, and the
+    # names they export, load through the package's __getattr__ (PEP 562)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import funcalg\n"
+        "print(sorted(m for m in sys.modules if m.startswith('funcalg.')))\n"
+        "assert set(funcalg.__all__) <= set(dir(funcalg))\n"
+        "from funcalg import *\n"
+        "assert all(globals()[name] is getattr(funcalg, name) for name in funcalg.__all__)\n"
+        "assert run is sys.modules['funcalg.vm'].run and Session is sys.modules['funcalg.cli'].Session\n"
+        "assert tokenize is sys.modules['funcalg.parser'].tokenize\n"
+        "assert all(getattr(funcalg, m) is sys.modules['funcalg.' + m] for m in ('cli', 'parser', 'vm'))\n"
+        "try:\n    funcalg.nope\nexcept AttributeError as err:\n    print(err)\n"
+        "try:\n    from funcalg import nope\nexcept ImportError as err:\n    print(type(err).__name__)\n"
+    )
+    src = str(Path(funcalg.values.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['funcalg.algebra', 'funcalg.errors', 'funcalg.values']",
+        "module 'funcalg' has no attribute 'nope'",
+        "ImportError",
+    ]
+
+
 def test_the_kernel_tables_are_exact_dicts_of_every_key():
     # CPython specializes `d[k]` only for an exact dict
     assert type(funcalg.values._BINOPS) is dict and list(funcalg.values._BINOPS) == list(ArithOp)

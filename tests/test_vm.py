@@ -1183,6 +1183,33 @@ def test_no_lane_is_built_for_code_that_always_raises():
         assert callable(funcalg.vm._lane_of(compile_expr(x ** c), (Quaternion,)))
 
 
+def test_a_lane_that_keeps_raising_is_dropped():
+    x, y = params(2)
+    q = Quaternion(1.0, 2.0, 0.5, -1.0)
+    p = compile_expr(x**y)
+    for runs in range(1, funcalg.vm._LANE_AFTER + 2 * funcalg.vm._LANE_RAISES):
+        with pytest.raises(UnsupportedPowError) as info:
+            run(p, (q, Scalar(2.5)))  # a lane from the _LANE_AFTER-th run, raising on every one
+        assert str(info.value) == "instruction 2: quaternion power is defined only for non-negative integer exponents"
+        dropped = runs >= funcalg.vm._LANE_AFTER + funcalg.vm._LANE_RAISES - 1
+        assert (p._lanes.get((Quaternion, Scalar)) is False) == dropped
+    p = compile_expr(x**y)
+    for _ in range(funcalg.vm._LANE_AFTER + 2 * funcalg.vm._LANE_RAISES):
+        assert run(p, (q, Scalar(2.0))) == value_binop(ArithOp.POW, q, Scalar(2.0))
+    assert callable(p._lanes[Quaternion, Scalar])  # the same program at an exponent in the domain keeps it
+    p = compile_expr(x + y)
+
+    def lane(a, b):  # stands in for an all-Scalar lane that raises
+        raise ZeroDivisionError
+
+    lane.raises = 0
+    p._lane = p._lanes[Scalar, Scalar] = lane
+    for _ in range(funcalg.vm._LANE_RAISES):
+        assert p._lane is lane
+        assert run(p, (Scalar(1.0), Scalar(2.0))) == Scalar(3.0)  # the loop's answer
+    assert p._lane is p._lanes[Scalar, Scalar] is False and lane.raises == funcalg.vm._LANE_RAISES
+
+
 def test_vector_lane_zips_only_the_vectors_it_loads(monkeypatch):
     x, y = params(2)
     p = compile_expr(x * 2.0 + 1.0)
