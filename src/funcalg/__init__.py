@@ -7,9 +7,10 @@ and quaternions, either by walking the tree or through a compiled
 stack-machine program, and a small expression language with a REPL sits
 on top.
 
-`import funcalg` loads only `errors`, `values` and `algebra`: `vm`, `parser`
-and `cli`, and the names they export, load on first use (PEP 562), so code
-that only builds and calls trees loads none of them.
+`import funcalg` loads only `errors`, `values` and `algebra`, and re-exports
+the names each declares in its `__all__`.  `vm`, `parser` and `cli`, and the
+names they export, load on first use (PEP 562), so code that only builds and
+calls trees loads none of them; `_DEFERRED` is the one list of those names.
 
 >>> from funcalg import params, builtin
 >>> x, = params(1)
@@ -24,137 +25,12 @@ Scalar(x=2.0989521210578537)
 
 from importlib import import_module
 
-from .algebra import (
-    Apply,
-    Arg,
-    Arity,
-    BinOp,
-    Const,
-    Def,
-    FuncExpr,
-    Leaf,
-    Neg,
-    POLYMORPHIC,
-    PRIMITIVES,
-    Prim,
-    apply,
-    apply_expr,
-    arity_of,
-    builtin,
-    combine,
-    const_expr,
-    evaluate,
-    evaluate_constant,
-    lift_function,
-    negate,
-    params,
-)
-from .errors import (
-    ArityMismatchError,
-    BackendMismatchError,
-    FuncalgError,
-    InvalidProgramError,
-    KindMismatchError,
-    LengthMismatchError,
-    LexError,
-    NestingError,
-    ParseError,
-    UnknownIdentifierError,
-    UnknownPrimitiveError,
-    UnsupportedKindError,
-    UnsupportedPowError,
-)
-from .values import (
-    ArithOp,
-    Complex,
-    Quaternion,
-    Scalar,
-    Value,
-    Vector,
-    apply_builtin,
-    format_value,
-    same_value,
-    value_binop,
-    value_neg,
-)
+from . import algebra, errors, values
+from .algebra import *
+from .errors import *
+from .values import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Apply",
-    "Arg",
-    "ArithOp",
-    "Arity",
-    "ArityMismatchError",
-    "BackendMismatchError",
-    "BareExpression",
-    "BenchReport",
-    "BinOp",
-    "Complex",
-    "Const",
-    "ConstDef",
-    "Def",
-    "Env",
-    "FuncExpr",
-    "FuncalgError",
-    "FunctionDef",
-    "Instr",
-    "InvalidProgramError",
-    "KindMismatchError",
-    "Leaf",
-    "LengthMismatchError",
-    "LexError",
-    "Neg",
-    "Op",
-    "POLYMORPHIC",
-    "PRIMITIVES",
-    "NestingError",
-    "ParseError",
-    "Prim",
-    "Program",
-    "Quaternion",
-    "ReplCommand",
-    "Scalar",
-    "Session",
-    "SessionConfig",
-    "Statement",
-    "Token",
-    "UnknownIdentifierError",
-    "UnknownPrimitiveError",
-    "UnsupportedKindError",
-    "UnsupportedPowError",
-    "Value",
-    "Vector",
-    "apply",
-    "apply_builtin",
-    "apply_expr",
-    "arity_of",
-    "bench",
-    "builtin",
-    "combine",
-    "compile_expr",
-    "const_expr",
-    "eval_once",
-    "evaluate",
-    "evaluate_constant",
-    "format_value",
-    "lift_function",
-    "main",
-    "negate",
-    "params",
-    "parse_command",
-    "parse_expression",
-    "parse_statement",
-    "parse_statements",
-    "print_expr",
-    "run",
-    "run_repl",
-    "run_script",
-    "same_value",
-    "tokenize",
-    "value_binop",
-    "value_neg",
-]
 
 # The submodules that load on first use, by their own names and those they export
 _DEFERRED = {name: module for module, names in (
@@ -163,6 +39,9 @@ _DEFERRED = {name: module for module, names in (
                "parse_expression parse_statement parse_statements print_expr tokenize"),
     ("vm", "BenchReport Instr Op Program bench compile_expr run"),
 ) for name in (module, *names.split())}
+
+__all__ = [*algebra.__all__, *errors.__all__, *values.__all__,
+           *(name for name, module in _DEFERRED.items() if name != module)]
 
 
 def __getattr__(name: str):

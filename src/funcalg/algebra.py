@@ -33,6 +33,12 @@ from .values import (
     value_neg,
 )
 
+__all__ = [
+    "Apply", "Arg", "Arity", "BinOp", "Const", "Def", "FuncExpr", "Leaf", "Neg", "POLYMORPHIC", "PRIMITIVES", "Prim",
+    "apply", "apply_expr", "arity_of", "builtin", "combine", "const_expr", "evaluate", "evaluate_constant",
+    "lift_function", "negate", "params",
+]
+
 
 @dataclass(frozen=True)
 class Arity:

@@ -1,5 +1,11 @@
 """Exception hierarchy shared by all funcalg modules."""
 
+__all__ = [
+    "ArityMismatchError", "BackendMismatchError", "FuncalgError", "InvalidProgramError",
+    "KindMismatchError", "LengthMismatchError", "LexError", "NestingError", "ParseError",
+    "UnknownIdentifierError", "UnknownPrimitiveError", "UnsupportedKindError", "UnsupportedPowError",
+]
+
 
 class FuncalgError(Exception):
     """Base class for every error this package raises on purpose."""

@@ -28,6 +28,11 @@ from .errors import (
     UnsupportedPowError,
 )
 
+__all__ = [
+    "ArithOp", "Complex", "Quaternion", "Scalar", "Value", "Vector",
+    "apply_builtin", "format_value", "same_value", "value_binop", "value_neg",
+]
+
 
 class ArithOp(Enum):
     ADD = "+"

@@ -204,7 +204,7 @@ class Program:
                     fail(ip, "bad definition payload")
                 if not isinstance(a.arity, Arity):
                     fail(ip, "definition arity is not an Arity")
-                if a.arity.n != n:
+                if a.arity.n is not None and a.arity.n != n:  # `run` calls a polymorphic body with any count
                     fail(ip, "definition arity does not match frame arity")
                 depth += 1
             elif op is _CALL_LEAF:

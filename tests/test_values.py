@@ -768,6 +768,38 @@ def test_import_loads_only_the_algebra_core_and_the_rest_on_first_use():
     ]
 
 
+def test_the_package_exports_each_core_modules_all_once_then_the_deferred_names():
+    # a fresh interpreter: each core module's `import *` binds its __all__ and nothing else, and the
+    # package's __all__ is those lists, then the deferred names: 73 names, each once
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import funcalg\n"
+        "from funcalg import algebra, errors, values\n"
+        "deferred = [n for n, m in funcalg._DEFERRED.items() if n != m]\n"
+        "assert funcalg.__all__ == [*algebra.__all__, *errors.__all__, *values.__all__, *deferred]\n"
+        "assert len(set(funcalg.__all__)) == len(funcalg.__all__)\n"
+        "for m in ('errors', 'values', 'algebra'):\n"
+        "    ns = {}\n"
+        "    exec(f'from funcalg.{m} import *', ns)\n"
+        "    assert sorted(set(ns) - {'__builtins__'}) == sorted(getattr(funcalg, m).__all__), m\n"
+        "print(' '.join(sorted(funcalg.__all__)))\n"
+    )
+    src = str(Path(funcalg.values.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = """
+        Apply Arg ArithOp Arity ArityMismatchError BackendMismatchError BareExpression BenchReport BinOp Complex
+        Const ConstDef Def Env FuncExpr FuncalgError FunctionDef Instr InvalidProgramError KindMismatchError Leaf
+        LengthMismatchError LexError Neg NestingError Op POLYMORPHIC PRIMITIVES ParseError Prim Program Quaternion
+        ReplCommand Scalar Session SessionConfig Statement Token UnknownIdentifierError UnknownPrimitiveError
+        UnsupportedKindError UnsupportedPowError Value Vector apply apply_builtin apply_expr arity_of bench builtin
+        combine compile_expr const_expr eval_once evaluate evaluate_constant format_value lift_function main negate
+        params parse_command parse_expression parse_statement parse_statements print_expr run run_repl run_script
+        same_value tokenize value_binop value_neg
+    """.split()
+    assert proc.stdout.split() == sorted(names) and len(names) == 73
+
+
 def test_the_kernel_tables_are_exact_dicts_of_every_key():
     # CPython specializes `d[k]` only for an exact dict
     assert type(funcalg.values._BINOPS) is dict and list(funcalg.values._BINOPS) == list(ArithOp)

@@ -35,6 +35,7 @@ from funcalg import (
     KindMismatchError,
     LengthMismatchError,
     Op,
+    POLYMORPHIC,
     PRIMITIVES,
     Program,
     Quaternion,
@@ -292,6 +293,7 @@ def test_validate_checks_callee_arity_against_the_frame():
         return Program((instr,), (), (leaf,), Arity(arity))
 
     program(Instr(Op.CALL_DEF, body), 2).validate()
+    program(Instr(Op.CALL_DEF, compile_expr(const_expr(3.0))), 2).validate()  # `run` calls it with any count
     program(Instr(Op.CALL_LEAF, 0), 2).validate()
     for bad in (
         program(Instr(Op.CALL_DEF, body), 1),
@@ -300,6 +302,14 @@ def test_validate_checks_callee_arity_against_the_frame():
     ):
         with pytest.raises(InvalidProgramError, match=r"^instruction 0: "):
             bad.validate()
+    # a hand-built copy of a compiled program that calls a polymorphic body runs as the original
+    p = compile_expr(params(1)[0] * Def("c", POLYMORPHIC, Const(Scalar(3.0))))
+    q = Program(p.instructions, p.constants, p.leaves, p.arity)
+    assert q == p
+    for prog in (p, q):
+        for _ in range(funcalg.vm._LANE_AFTER + 1):
+            assert run(prog, (Scalar(2.0),)) == Scalar(6.0)
+        assert list(prog._lanes) == [(Scalar,)] and callable(prog._lane)
 
 
 _X = Instr(Op.LOAD_ARG, 0)
